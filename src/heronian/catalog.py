@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
-from heronian.core import Triangle, classify, heron_area
+from heronian.core import Classification, Triangle, heron_area
 from heronian.enumeration import triangles_with_perimeter
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "CatalogRecord",
     "CatalogVersionError",
     "FORMAT_VERSION",
+    "RECORD_FIELDS",
     "build",
     "load",
     "save",
@@ -29,7 +30,7 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-_RECORD_FIELDS = ("a", "b", "c", "perimeter", "area", "classification")
+_HEADER_FIELDS = ("format_version", "p_max", "count", "built_at")
 
 
 class CatalogFormatError(ValueError):
@@ -54,10 +55,18 @@ class CatalogRecord:
         area = heron_area(t)
         if area is None:
             raise ValueError(f"{t} is not Heronian")
-        return cls(t.a, t.b, t.c, t.perimeter, area, classify(t).value)
+        return cls(t.a, t.b, t.c, t.perimeter, area,
+                   Classification.compare(area, t.perimeter).value)
 
     def triangle(self) -> Triangle:
         return Triangle(self.a, self.b, self.c)
+
+    def row(self) -> dict:
+        """The record as a JSON object, keys in RECORD_FIELDS order."""
+        return {name: getattr(self, name) for name in RECORD_FIELDS}
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(CatalogRecord))
 
 
 @dataclass
@@ -76,11 +85,17 @@ class Catalog:
 
     def __post_init__(self) -> None:
         for r in self.records:
-            self._by_perimeter.setdefault(r.perimeter, []).append(r.triangle())
-            self._by_area.setdefault(r.area, []).append(r.triangle())
+            t = r.triangle()
+            self._by_perimeter.setdefault(r.perimeter, []).append(t)
+            self._by_area.setdefault(r.area, []).append(t)
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def header(self) -> dict:
+        """The file's first line: format version, bound, record count, build time."""
+        values = (FORMAT_VERSION, self.p_max, len(self.records), self.built_at)
+        return dict(zip(_HEADER_FIELDS, values))
 
     def query_by_perimeter(self, p: int) -> tuple[list[Triangle], bool]:
         """Triangles with perimeter p, plus a completeness flag.
@@ -136,17 +151,10 @@ def build(p_max: int, workers: int = 1) -> Catalog:
 
 def save(cat: Catalog, path) -> None:
     """Write a catalog as JSON Lines (header line, then one record per line)."""
-    header = {
-        "format_version": FORMAT_VERSION,
-        "p_max": cat.p_max,
-        "count": len(cat.records),
-        "built_at": cat.built_at,
-    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        fh.write(json.dumps(cat.header(), separators=(",", ":")) + "\n")
         for r in cat.records:
-            row = {name: getattr(r, name) for name in _RECORD_FIELDS}
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+            fh.write(json.dumps(r.row(), separators=(",", ":")) + "\n")
 
 
 def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
@@ -163,14 +171,16 @@ def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
 
 
 def load(path) -> Catalog:
-    """Read a catalog written by save, validating structure line by line."""
+    """Read a catalog written by save, validating it line by line.
+
+    Besides the structure, each record's perimeter, area and
+    classification must agree with its sides.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line.strip():
             raise CatalogFormatError("line 1: missing header")
-        header = _parse_line(
-            header_line, 1, ("format_version", "p_max", "count", "built_at")
-        )
+        header = _parse_line(header_line, 1, _HEADER_FIELDS)
         if header["format_version"] != FORMAT_VERSION:
             raise CatalogVersionError(
                 f"unsupported format version {header['format_version']!r}, "
@@ -180,15 +190,27 @@ def load(path) -> Catalog:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 raise CatalogFormatError(f"line {lineno}: blank record line")
-            row = _parse_line(line, lineno, _RECORD_FIELDS)
+            row = _parse_line(line, lineno, RECORD_FIELDS)
             try:
                 record = CatalogRecord(**row)
+                t = record.triangle()
             except (TypeError, ValueError) as exc:
                 raise CatalogFormatError(f"line {lineno}: bad record ({exc})") from exc
-            if record.perimeter != record.a + record.b + record.c:
-                raise CatalogFormatError(
-                    f"line {lineno}: perimeter {record.perimeter} does not match sides"
-                )
+            # uncached, so that loading a file does not grow heron_area's cache
+            area = heron_area.__wrapped__(t)
+            if area is None:
+                raise CatalogFormatError(f"line {lineno}: sides {t} have no integer area")
+            derived = {
+                "perimeter": t.perimeter,
+                "area": area,
+                "classification": Classification.compare(area, t.perimeter).value,
+            }
+            for name, value in derived.items():
+                if getattr(record, name) != value:
+                    raise CatalogFormatError(
+                        f"line {lineno}: {name} {getattr(record, name)!r} "
+                        f"does not match sides {t}"
+                    )
             records.append(record)
     if len(records) != header["count"]:
         raise CatalogFormatError(

@@ -15,7 +15,6 @@ import sys
 
 from heronian import catalog as catalog_mod
 from heronian import verify as verify_mod
-from heronian.core import Triangle, classify, heron_area
 from heronian.cycles import find_cycles
 from heronian.enumeration import triangles_with_area, triangles_with_perimeter
 from heronian.necklace import enumerate_words
@@ -23,37 +22,30 @@ from heronian.necklace import enumerate_words
 CATALOG_ENV_VAR = "HERON_CATALOG"
 
 
-def _triangle_row(t: Triangle) -> dict:
-    return {
-        "a": t.a,
-        "b": t.b,
-        "c": t.c,
-        "perimeter": t.perimeter,
-        "area": heron_area(t),
-        "classification": classify(t).value,
-    }
+def _emit(fmt: str, payload, rows: list[dict], fieldnames, lines=None) -> None:
+    """Write one result to stdout in the requested format.
 
-
-def _print_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _print_csv(rows: list[dict], fieldnames: list[str]) -> None:
-    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-
-
-def _print_table(rows: list[dict], fieldnames: list[str]) -> None:
-    if not rows:
+    json writes the payload, csv writes the rows, and table writes the
+    given text lines or, without them, the rows as aligned columns.
+    """
+    if fmt == "json":
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    elif fmt == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    elif lines is not None:
+        for line in lines:
+            print(line)
+    elif not rows:
         print("(no results)")
-        return
-    widths = {
-        name: max(len(name), *(len(str(r[name])) for r in rows)) for name in fieldnames
-    }
-    print("  ".join(name.ljust(widths[name]) for name in fieldnames))
-    for r in rows:
-        print("  ".join(str(r[name]).ljust(widths[name]) for name in fieldnames))
+    else:
+        widths = {
+            name: max(len(name), *(len(str(r[name])) for r in rows)) for name in fieldnames
+        }
+        print("  ".join(name.ljust(widths[name]) for name in fieldnames))
+        for r in rows:
+            print("  ".join(str(r[name]).ljust(widths[name]) for name in fieldnames))
 
 
 def cmd_enumerate(args) -> int:
@@ -63,111 +55,84 @@ def cmd_enumerate(args) -> int:
     else:
         triangles = triangles_with_area(args.area)
         query = {"area": args.area}
-    rows = [_triangle_row(t) for t in triangles]
-    if args.format == "json":
-        _print_json({"query": query, "triangles": rows})
-    elif args.format == "csv":
-        _print_csv(rows, list(rows[0]) if rows else
-                   ["a", "b", "c", "perimeter", "area", "classification"])
-    else:
-        _print_table(rows, ["a", "b", "c", "perimeter", "area", "classification"])
+    rows = [catalog_mod.CatalogRecord.from_triangle(t).row() for t in triangles]
+    _emit(args.format, {"query": query, "triangles": rows}, rows, catalog_mod.RECORD_FIELDS)
     return 0
 
 
-def cmd_cycles(args, parser: argparse.ArgumentParser) -> int:
+def cmd_cycles(args) -> int:
     if args.concrete:
         if args.p_max is None:
-            parser.error("--concrete requires --p-max")
+            raise ValueError("--concrete requires --p-max")
         cycles = [[list(t.sides) for t in c.members] for c in find_cycles(args.n, args.p_max)]
         payload = {"n": args.n, "mode": "concrete", "p_max": args.p_max, "cycles": cycles}
-        if args.format == "json":
-            _print_json(payload)
-        elif args.format == "csv":
-            rows = [
-                {"cycle": i, "position": j, "a": m[0], "b": m[1], "c": m[2]}
-                for i, cyc in enumerate(cycles)
-                for j, m in enumerate(cyc)
-            ]
-            _print_csv(rows, ["cycle", "position", "a", "b", "c"])
-        else:
-            for i, cyc in enumerate(cycles):
-                print(f"cycle {i}: " + " -> ".join(f"({m[0]},{m[1]},{m[2]})" for m in cyc))
-            if not cycles:
-                print("(no cycles)")
+        rows = [
+            {"cycle": i, "position": j, "a": m[0], "b": m[1], "c": m[2]}
+            for i, cyc in enumerate(cycles)
+            for j, m in enumerate(cyc)
+        ]
+        fieldnames = ["cycle", "position", "a", "b", "c"]
+        lines = [
+            f"cycle {i}: " + " -> ".join(f"({m[0]},{m[1]},{m[2]})" for m in cyc)
+            for i, cyc in enumerate(cycles)
+        ]
     else:
-        words = [w.symbols for w in enumerate_words(args.n)]
-        payload = {"n": args.n, "mode": "symbolic", "cycles": words}
-        if args.format == "json":
-            _print_json(payload)
-        elif args.format == "csv":
-            _print_csv([{"n": args.n, "word": w} for w in words], ["n", "word"])
-        else:
-            for w in words:
-                print(w)
-            if not words:
-                print("(no cycles)")
+        cycles = [w.symbols for w in enumerate_words(args.n)]
+        payload = {"n": args.n, "mode": "symbolic", "cycles": cycles}
+        rows = [{"n": args.n, "word": w} for w in cycles]
+        fieldnames = ["n", "word"]
+        lines = cycles
+    _emit(args.format, payload, rows, fieldnames, lines or ["(no cycles)"])
     return 0
 
 
-_BOUNDED_CLAIMS = ("lemma2", "lemma3", "theorem2", "theorem3", "gersonides", "equable-five")
+def _check_point(args) -> verify_mod.TheoremReport:
+    point = {"x": args.x, "y": args.y, "z": args.z, "n": args.n}
+    if None in point.values():
+        raise ValueError("--claim theorem1 requires --x, --y, --z and --n")
+    divides = verify_mod.check_theorem1_divisibility(**point)
+    verdict = verify_mod.VERDICT_VERIFIED if divides else verify_mod.VERDICT_COUNTEREXAMPLE
+    return verify_mod.TheoremReport("theorem1", point, verdict, [dict(point, divides=divides)])
 
 
-def _run_claim(claim: str, args) -> verify_mod.TheoremReport:
-    if claim == "lemma2":
-        return verify_mod.check_lemma2(args.p_max)
-    if claim == "lemma3":
-        return verify_mod.check_lemma3(args.p_max)
-    if claim == "theorem2":
-        return verify_mod.check_theorem2(args.n, args.p_max)
-    if claim == "theorem3":
-        return verify_mod.check_theorem3(args.p_max, args.n_max)
-    if claim == "gersonides":
-        return verify_mod.check_gersonides(args.exp_max)
-    if claim == "equable-five":
-        return verify_mod.check_equable_census()
-    raise AssertionError(claim)
+# --claim value -> check, in --help order. "all" runs every claim but the
+# theorem1 point query.
+_CLAIMS = {
+    "lemma2": lambda args: verify_mod.check_lemma2(args.p_max),
+    "lemma3": lambda args: verify_mod.check_lemma3(args.p_max),
+    "theorem1": _check_point,
+    "theorem2": lambda args: verify_mod.check_theorem2(args.n, args.p_max),
+    "theorem3": lambda args: verify_mod.check_theorem3(args.p_max, args.n_max),
+    "gersonides": lambda args: verify_mod.check_gersonides(args.exp_max),
+    "equable-five": lambda args: verify_mod.check_equable_census(),
+}
 
 
-def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    if args.claim == "theorem1":
-        point = {"x": args.x, "y": args.y, "z": args.z, "n": args.n}
-        missing = [k for k, v in point.items() if v is None]
-        if missing:
-            parser.error("--claim theorem1 requires --x, --y, --z and --n")
-        divides = verify_mod.check_theorem1_divisibility(**point)
-        verdict = verify_mod.VERDICT_VERIFIED if divides else verify_mod.VERDICT_COUNTEREXAMPLE
-        reports = [
-            verify_mod.TheoremReport(
-                "theorem1", point, verdict, [dict(point, divides=divides)]
-            )
-        ]
-    elif args.claim == "all":
-        reports = [_run_claim(c, args) for c in _BOUNDED_CLAIMS]
+def cmd_verify(args) -> int:
+    if args.claim == "all":
+        reports = [check(args) for claim, check in _CLAIMS.items() if claim != "theorem1"]
     else:
-        reports = [_run_claim(args.claim, args)]
-
-    if args.format == "json":
-        _print_json({"reports": [json.loads(r.to_json()) for r in reports]})
-    elif args.format == "csv":
-        rows = [
-            {"claim": r.claim, "verdict": r.verdict,
-             "bounds": json.dumps(r.bounds, sort_keys=True, separators=(",", ":")),
-             "witnesses": json.dumps(r.witnesses, sort_keys=True, separators=(",", ":"))}
-            for r in reports
-        ]
-        _print_csv(rows, ["claim", "verdict", "bounds", "witnesses"])
-    else:
-        for r in reports:
-            print(f"{r.claim}: {r.verdict}  bounds={r.bounds}")
-            for w in r.witnesses:
-                print(f"  {w}")
+        reports = [_CLAIMS[args.claim](args)]
+    compact = {"sort_keys": True, "separators": (",", ":")}
+    rows = [
+        {"claim": r.claim, "verdict": r.verdict,
+         "bounds": json.dumps(r.bounds, **compact),
+         "witnesses": json.dumps(r.witnesses, **compact)}
+        for r in reports
+    ]
+    lines = []
+    for r in reports:
+        lines.append(f"{r.claim}: {r.verdict}  bounds={r.bounds}")
+        lines.extend(f"  {w}" for w in r.witnesses)
+    payload = {"reports": [json.loads(r.to_json()) for r in reports]}
+    _emit(args.format, payload, rows, ["claim", "verdict", "bounds", "witnesses"], lines)
     return 0 if all(r.ok for r in reports) else 1
 
 
-def cmd_catalog(args, parser: argparse.ArgumentParser) -> int:
+def cmd_catalog(args) -> int:
     if args.action == "build":
         if args.p_max is None or args.out is None:
-            parser.error("catalog build requires --p-max and --out")
+            raise ValueError("catalog build requires --p-max and --out")
         cat = catalog_mod.build(args.p_max, workers=args.workers)
         try:
             catalog_mod.save(cat, args.out)
@@ -179,26 +144,24 @@ def cmd_catalog(args, parser: argparse.ArgumentParser) -> int:
 
     path = args.path or os.environ.get(CATALOG_ENV_VAR)
     if path is None:
-        parser.error(f"catalog info requires --in or ${CATALOG_ENV_VAR}")
+        raise ValueError(f"catalog info requires --in or ${CATALOG_ENV_VAR}")
     try:
         cat = catalog_mod.load(path)
     except (OSError, catalog_mod.CatalogFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    header = {
-        "format_version": catalog_mod.FORMAT_VERSION,
-        "p_max": cat.p_max,
-        "count": len(cat),
-        "built_at": cat.built_at,
-    }
-    if args.format == "json":
-        _print_json(header)
-    elif args.format == "csv":
-        _print_csv([header], list(header))
-    else:
-        for key, value in header.items():
-            print(f"{key}: {value}")
+    header = cat.header()
+    lines = [f"{key}: {value}" for key, value in header.items()]
+    _emit(args.format, header, [header], list(header), lines)
     return 0
+
+
+_COMMANDS = {
+    "enumerate": cmd_enumerate,
+    "cycles": cmd_cycles,
+    "verify": cmd_verify,
+    "catalog": cmd_catalog,
+}
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -235,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="machine-check a claim within bounds")
     p_ver.add_argument(
         "--claim", required=True,
-        choices=("lemma2", "lemma3", "theorem1", "theorem2", "theorem3",
-                 "gersonides", "equable-five", "all"),
+        choices=(*_CLAIMS, "all"),
     )
     p_ver.add_argument("--p-max", type=int, default=2000, help="perimeter bound (default 2000)")
     p_ver.add_argument("--n-max", type=int, default=8, help="max cycle length (default 8)")
@@ -266,15 +228,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "enumerate":
-            return cmd_enumerate(args)
-        if args.command == "cycles":
-            return cmd_cycles(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args, parser)
-        return cmd_catalog(args, parser)
+        return _COMMANDS[args.command](args)
     except ValueError as exc:
-        # precondition violations (n < 1 and the like) are usage errors
+        # precondition violations (n < 1, a missing flag) are usage errors
         parser.error(str(exc))
 
 

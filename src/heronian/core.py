@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt  # exact; re-exported as heronian.isqrt
 
 __all__ = [
     "Classification",
@@ -23,26 +24,6 @@ __all__ = [
     "perfect_square_root",
     "recompose",
 ]
-
-
-def isqrt(n: int) -> int:
-    """Floor of the square root of n, by integer Newton iteration.
-
-    The iterate starts at a power of two above the root and decreases
-    monotonically, so the first non-decreasing step proves convergence.
-    No floating point is involved, hence no platform dependence and no
-    precision ceiling.
-    """
-    if n < 0:
-        raise ValueError("isqrt is undefined for negative numbers")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 1) // 2)  # 2^ceil(bits/2) >= sqrt(n)
-    while True:
-        y = (x + n // x) // 2
-        if y >= x:
-            return x
-        x = y
 
 
 # Residue tables: a square must land on a square residue modulo 256 and
@@ -138,6 +119,15 @@ class Classification(enum.Enum):
     DEFICIENT = "deficient"  # perimeter > area
     ABUNDANT = "abundant"    # area > perimeter
 
+    @classmethod
+    def compare(cls, area: int, perimeter: int) -> Classification:
+        """Classify a known area against its perimeter."""
+        if area == perimeter:
+            return cls.EQUABLE
+        if perimeter > area:
+            return cls.DEFICIENT
+        return cls.ABUNDANT
+
 
 @lru_cache(maxsize=None)
 def heron_area(t: Triangle) -> int | None:
@@ -183,9 +173,4 @@ def classify(t: Triangle) -> Classification:
     area = heron_area(t)
     if area is None:
         raise ValueError(f"{t} has no integer area")
-    p = t.perimeter
-    if area == p:
-        return Classification.EQUABLE
-    if p > area:
-        return Classification.DEFICIENT
-    return Classification.ABUNDANT
+    return Classification.compare(area, t.perimeter)

@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 
-def canonical_rotation(members: tuple[Triangle, ...]) -> tuple[Triangle, ...]:
-    """Lexicographically least rotation of a member tuple."""
+def canonical_rotation(members: tuple | str) -> tuple | str:
+    """Lexicographically least rotation of a tuple or a string."""
     return min(members[i:] + members[:i] for i in range(len(members)))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from heronian.core import Triangle
-from heronian.cycles import ConcreteCycle
+from heronian.cycles import ConcreteCycle, canonical_rotation
 
 __all__ = [
     "CycleWord",
@@ -29,10 +29,6 @@ TRIANGLE_FOR_SYMBOL = {
     "V": Triangle(3, 25, 26),
     "W": Triangle(9, 10, 17),
 }
-
-
-def _canonical(symbols: str) -> str:
-    return min(symbols[i:] + symbols[:i] for i in range(len(symbols)))
 
 
 @dataclass(frozen=True, order=True)
@@ -60,7 +56,7 @@ class CycleWord:
                 raise ValueError(f"U at position {i} of {w!r} is not followed by V")
             if ch == "V" and w[(i - 1) % n] != "U":
                 raise ValueError(f"V at position {i} of {w!r} is not preceded by U")
-        object.__setattr__(self, "symbols", _canonical(w))
+        object.__setattr__(self, "symbols", canonical_rotation(w))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -93,7 +89,7 @@ def enumerate_words(n: int) -> list[CycleWord]:
     """
     if n < 1:
         raise ValueError("word length must be at least 1")
-    classes = {_canonical(w) for w in _block_words(n) if "U" in w}
+    classes = {canonical_rotation(w) for w in _block_words(n) if "U" in w}
     return sorted(CycleWord(w) for w in classes)
 
 

@@ -17,7 +17,7 @@ from heronian.core import (
     classify,
     decompose,
     heron_area,
-    perfect_square_root,
+    perfect_square_root,  # unused here; the benchmark tracer counts calls through this name
 )
 from heronian.cycles import find_cycles
 from heronian.enumeration import (
@@ -184,21 +184,14 @@ def check_theorem2(n: int, p_max: int) -> TheoremReport:
     bounds = {"n": n, "p_max": p_max}
     expected = set(DEFICIENT_CANDIDATES)
     survivors = []
-    s_max = p_max // 2
-    for x in (1, 2, 3):
-        for y in range(x, 10):  # y <= 9
-            for z in range(y, s_max - x - y + 1):
-                s = x + y + z
-                xyz = x * y * z
-                if 4 * s <= xyz:  # need perimeter > area
-                    continue
-                area = perfect_square_root(s * xyz)
-                if area is None or area % 2:
-                    continue
-                if not check_theorem1_divisibility(x, y, z, n):
-                    continue
-                survivors.append(Triangle(x + y, x + z, y + z))
-    survivors.sort()
+    for t in deficient_triangles(p_max):
+        d = decompose(t)
+        # x <= 3 and y <= 9 are tested, not assumed, so that the
+        # survivors do not rest on lemma 3 (the scan reaches y = 11)
+        if d.x > 3 or d.y > 9 or heron_area(t) % 2:
+            continue
+        if check_theorem1_divisibility(d.x, d.y, d.z, n):
+            survivors.append(t)
     verdict = VERDICT_VERIFIED if set(survivors) <= expected else VERDICT_COUNTEREXAMPLE
     witnesses = [_triangle_witness(t) for t in survivors]
     return TheoremReport("theorem2", bounds, verdict, witnesses)
@@ -224,14 +217,13 @@ def solve_power_difference(exp_max: int) -> GersonidesSolutions:
         raise ValueError("exp_max must be at least 1")
     two_minus_three = set()
     three_minus_two = set()
-    pow2 = {p: 2**p for p in range(exp_max + 1)}
-    pow3 = {q: 3**q for q in range(exp_max + 1)}
+    log3 = {3**q: q for q in range(exp_max + 1)}
     for p in range(exp_max + 1):
-        for q in range(exp_max + 1):
-            if pow2[p] - pow3[q] == 1:
-                two_minus_three.add((p, q))
-            if pow3[q] - pow2[p] == 1:
-                three_minus_two.add((q, p))
+        pow2 = 2**p
+        if pow2 - 1 in log3:
+            two_minus_three.add((p, log3[pow2 - 1]))
+        if pow2 + 1 in log3:
+            three_minus_two.add((log3[pow2 + 1], p))
     return GersonidesSolutions(exp_max, two_minus_three, three_minus_two)
 
 
@@ -263,23 +255,12 @@ def check_factorization_cases() -> TheoremReport:
     x = y = 2 needs 16 = (2z+4-area)(2z+4+area): no positive solution.
     x = 1, y = 4 needs 25 = (2z+5-area)(2z+5+area): exactly z = 4 with
     area 12, the (5, 5, 8) triangle. x = y = 1 needs z(z+2) = area^2,
-    i.e. (z+1)^2 - area^2 = 1: only the excluded z = 0.
+    i.e. (2z+2)^2 - (2 area)^2 = 4: only the excluded z = 0.
     """
     case_16 = _difference_of_squares(16, 4)
     case_25 = _difference_of_squares(25, 5)
-    # z(z+2) = area^2 means (z+1)^2 - area^2 = 1, so scan factor pairs
-    # d * e = 1 with z + 1 = (d+e)/2 and area = (e-d)/2.
-    case_adjacent = []
-    d = 1
-    while d * d <= 1:
-        if 1 % d == 0:
-            e = 1 // d
-            if (d + e) % 2 == 0:
-                z = (d + e) // 2 - 1
-                area = (e - d) // 2
-                if z >= 1 and area >= 1:
-                    case_adjacent.append((z, area))
-        d += 1
+    # z(z+2) = area^2 means (2z+2)^2 - (2 area)^2 = 4; halve the area back
+    case_adjacent = [(z, twice // 2) for z, twice in _difference_of_squares(4, 2)]
     witnesses = [
         {"case": "product-16", "solutions": [list(s) for s in case_16]},
         {"case": "product-25", "solutions": [list(s) for s in case_25]},

@@ -108,14 +108,22 @@ def test_load_version_mismatch(tmp_path):
 def test_load_inconsistent_record_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
     header = {"format_version": 1, "p_max": 20, "count": 1, "built_at": ""}
-    bad = {"a": 3, "b": 4, "c": 5, "perimeter": 13, "area": 6,
-           "classification": "deficient"}
-    path.write_text(
-        json.dumps(header, separators=(",", ":")) + "\n"
-        + json.dumps(bad, separators=(",", ":")) + "\n"
-    )
-    with pytest.raises(CatalogFormatError, match="perimeter"):
-        load(path)
+    good = {"a": 3, "b": 4, "c": 5, "perimeter": 12, "area": 6,
+            "classification": "deficient"}
+    corruptions = [
+        ({"perimeter": 13}, "perimeter"),
+        ({"a": 3.0}, "plain integers"),
+        ({"a": 1, "b": 2, "c": 3, "perimeter": 6}, "degenerate"),
+        ({"area": 36}, "area 36"),
+        ({"classification": "abundant"}, "classification"),
+    ]
+    for change, message in corruptions:
+        path.write_text(
+            json.dumps(header, separators=(",", ":")) + "\n"
+            + json.dumps(dict(good, **change), separators=(",", ":")) + "\n"
+        )
+        with pytest.raises(CatalogFormatError, match=f"line 2: .*{message}"):
+            load(path)
 
 
 def test_deterministic_bytes(tmp_path):

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import heronian.cli as cli
+from heronian.catalog import Catalog, build, save
 
 
 def run_cli(argv, capsys):
@@ -226,3 +229,42 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "9,12,15,36,54,abundant"
+
+
+TABLE_CASES = {
+    "enumerate-area": (
+        ["enumerate", "--area", "36"],
+        "a  b   c   perimeter  area  classification\n"
+        "3  25  26  54         36    deficient     \n"
+        "9  10  17  36         36    equable       \n",
+    ),
+    "cycles-concrete": (
+        ["cycles", "--n", "3", "--concrete", "--p-max", "100"],
+        "cycle 0: (3,25,26) -> (9,10,17) -> (9,12,15)\n",
+    ),
+    "cycles-concrete-empty": (
+        ["cycles", "--n", "1", "--concrete", "--p-max", "100"],
+        "(no cycles)\n",
+    ),
+    "verify-lemma3": (
+        ["verify", "--claim", "lemma3", "--p-max", "200"],
+        "lemma3: verified-within-bounds  bounds={'p_max': 200}\n"
+        "  {'deficient_triangles_checked': 6}\n",
+    ),
+    "catalog-info": (
+        ["catalog", "info", "--in", "{catalog}"],
+        "format_version: 1\n"
+        "p_max: 12\n"
+        "count: 1\n"
+        "built_at: 2000-01-01T00:00:00+00:00\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_table_output_is_pinned(case, tmp_path, capsys):
+    argv, expected = TABLE_CASES[case]
+    path = tmp_path / "c.jsonl"
+    save(Catalog(12, build(12).records, "2000-01-01T00:00:00+00:00"), path)
+    argv = [arg.format(catalog=path) for arg in argv]
+    assert run_cli(argv, capsys) == (0, expected, "")
