@@ -28,6 +28,7 @@ from heronian.enumeration import (
     area_perimeter_bound,
     deficient_triangles,
     equable_triangles,
+    triangles_in_perimeter_range,
     triangles_with_area,
     triangles_with_perimeter,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "replacement_family",
     "successors",
     "trace_chain",
+    "triangles_in_perimeter_range",
     "triangles_with_area",
     "triangles_with_perimeter",
 ]

@@ -14,7 +14,10 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from heronian.core import Classification, Triangle, heron_area
-from heronian.enumeration import triangles_with_perimeter
+from heronian.enumeration import (
+    triangles_in_perimeter_range,
+    triangles_with_perimeter,  # unused here; the benchmark tracer wraps this name
+)
 
 __all__ = [
     "Catalog",
@@ -30,7 +33,8 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-_HEADER_FIELDS = ("format_version", "p_max", "count", "built_at")
+# header fields in file order, with the exact type each value must have
+_HEADER_TYPES = {"format_version": int, "p_max": int, "count": int, "built_at": str}
 
 
 class CatalogFormatError(ValueError):
@@ -95,7 +99,7 @@ class Catalog:
     def header(self) -> dict:
         """The file's first line: format version, bound, record count, build time."""
         values = (FORMAT_VERSION, self.p_max, len(self.records), self.built_at)
-        return dict(zip(_HEADER_FIELDS, values))
+        return dict(zip(_HEADER_TYPES, values))
 
     def query_by_perimeter(self, p: int) -> tuple[list[Triangle], bool]:
         """Triangles with perimeter p, plus a completeness flag.
@@ -116,20 +120,17 @@ class Catalog:
 
 
 def _records_for_range(bounds: tuple[int, int]) -> list[CatalogRecord]:
-    """Records for even perimeters in [start, stop); a parallel work unit."""
-    start, stop = bounds
-    out = []
-    for p in range(start + start % 2, stop, 2):
-        out.extend(CatalogRecord.from_triangle(t) for t in triangles_with_perimeter(p))
-    return out
+    """Records for perimeters in [start, stop); a parallel work unit."""
+    return [CatalogRecord.from_triangle(t) for t in triangles_in_perimeter_range(*bounds)]
 
 
 def build(p_max: int, workers: int = 1) -> Catalog:
     """Index every Heronian triangle with perimeter <= p_max.
 
-    With workers > 1 the perimeter range is split into chunks processed
-    by a process pool; the final sort makes the result independent of
-    worker scheduling.
+    With workers > 1 the perimeter range is split into consecutive
+    chunks processed by a process pool. Each chunk comes back sorted by
+    (perimeter, a, b, c) and pool.map keeps the chunk order, so the
+    result does not depend on worker scheduling.
     """
     if p_max < 1:
         raise ValueError("p_max must be positive")
@@ -144,7 +145,6 @@ def build(p_max: int, workers: int = 1) -> Catalog:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_records_for_range, chunks):
                 records.extend(part)
-    records.sort(key=lambda r: (r.perimeter, r.a, r.b, r.c))
     built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return Catalog(p_max, tuple(records), built_at)
 
@@ -155,6 +155,15 @@ def save(cat: Catalog, path) -> None:
         fh.write(json.dumps(cat.header(), separators=(",", ":")) + "\n")
         for r in cat.records:
             fh.write(json.dumps(r.row(), separators=(",", ":")) + "\n")
+
+
+def _decoded_lines(fh):
+    """(line number, text) for each line of a binary file, counting from 1."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CatalogFormatError(f"line {lineno}: not valid UTF-8") from exc
 
 
 def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
@@ -173,21 +182,32 @@ def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
 def load(path) -> Catalog:
     """Read a catalog written by save, validating it line by line.
 
-    Besides the structure, each record's perimeter, area and
-    classification must agree with its sides.
+    The header's fields must have their types. Each record's perimeter,
+    area and classification must agree with its sides, the sides must be
+    sorted, the perimeter must be within the header's p_max, and records
+    must be strictly increasing in (perimeter, a, b, c), so sorted and
+    unique.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
+    with open(path, "rb") as fh:
+        lines = _decoded_lines(fh)
+        _, header_line = next(lines, (1, ""))
         if not header_line.strip():
             raise CatalogFormatError("line 1: missing header")
-        header = _parse_line(header_line, 1, _HEADER_FIELDS)
+        header = _parse_line(header_line, 1, tuple(_HEADER_TYPES))
+        for name, kind in _HEADER_TYPES.items():
+            if type(header[name]) is not kind:
+                raise CatalogFormatError(
+                    f"line 1: {name} must be {kind.__name__}, got {header[name]!r}"
+                )
         if header["format_version"] != FORMAT_VERSION:
             raise CatalogVersionError(
                 f"unsupported format version {header['format_version']!r}, "
                 f"expected {FORMAT_VERSION}"
             )
+        p_max = header["p_max"]
         records = []
-        for lineno, line in enumerate(fh, start=2):
+        previous = ()  # sorts before every key
+        for lineno, line in lines:
             if not line.strip():
                 raise CatalogFormatError(f"line {lineno}: blank record line")
             row = _parse_line(line, lineno, RECORD_FIELDS)
@@ -196,6 +216,10 @@ def load(path) -> Catalog:
                 t = record.triangle()
             except (TypeError, ValueError) as exc:
                 raise CatalogFormatError(f"line {lineno}: bad record ({exc})") from exc
+            if (record.a, record.b, record.c) != t.sides:
+                raise CatalogFormatError(
+                    f"line {lineno}: sides {(record.a, record.b, record.c)} are not sorted"
+                )
             # uncached, so that loading a file does not grow heron_area's cache
             area = heron_area.__wrapped__(t)
             if area is None:
@@ -211,10 +235,19 @@ def load(path) -> Catalog:
                         f"line {lineno}: {name} {getattr(record, name)!r} "
                         f"does not match sides {t}"
                     )
+            if record.perimeter > p_max:
+                raise CatalogFormatError(
+                    f"line {lineno}: perimeter {record.perimeter} exceeds p_max {p_max}"
+                )
+            key = (record.perimeter, *t.sides)
+            if key <= previous:
+                problem = "duplicate record" if key == previous else "record out of order"
+                raise CatalogFormatError(f"line {lineno}: {problem} {t}")
+            previous = key
             records.append(record)
     if len(records) != header["count"]:
         raise CatalogFormatError(
             f"line {len(records) + 1}: header count {header['count']} does not "
             f"match {len(records)} record lines (truncated file?)"
         )
-    return Catalog(header["p_max"], tuple(records), header["built_at"])
+    return Catalog(p_max, tuple(records), header["built_at"])

@@ -3,12 +3,17 @@
 All searches run in the gap coordinates (x, y, z) with x <= y <= z: a
 triangle with semiperimeter s = x + y + z has sides (x+y, x+z, y+z) and
 squared area s*x*y*z. The perimeter enumerator scans every triple with a
-fixed sum; the area enumerator only visits divisor pairs of the squared
-area, which keeps it fast even for large areas. Every enumerator returns
-a lexicographically sorted list, so output is deterministic.
+fixed sum; the range enumerator joins gap pairs on squarefree kernels,
+so all perimeters below P together cost O(P^2), as one perimeter does
+for the scan; the area enumerator only visits divisor pairs of the
+squared area, which keeps it fast even for large areas. Every enumerator
+returns a sorted list (the range enumerator by perimeter first, the
+others lexicographically), so output is deterministic.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from heronian.core import (
     _SQ_MOD_256,
@@ -23,6 +28,7 @@ __all__ = [
     "area_perimeter_bound",
     "deficient_triangles",
     "equable_triangles",
+    "triangles_in_perimeter_range",
     "triangles_with_area",
     "triangles_with_perimeter",
 ]
@@ -61,6 +67,66 @@ def triangles_with_perimeter(p: int) -> list[Triangle]:
                 if r * r == v:
                     found.append(Triangle(x + y, x + z, y + z))
     found.sort()
+    return found
+
+
+def _squarefree_kernels(n: int) -> list[int]:
+    """ker[m] = m divided by its largest square divisor, for 0 <= m <= n."""
+    ker = list(range(n + 1))
+    for i in range(2, isqrt(n) + 1):
+        sq = i * i
+        for m in range(sq, n + 1, sq):
+            while ker[m] % sq == 0:
+                ker[m] //= sq
+    return ker
+
+
+def triangles_in_perimeter_range(lo: int, hi: int) -> list[Triangle]:
+    """All Heronian triangles with lo <= perimeter < hi, sorted by
+    (perimeter, a, b, c).
+
+    Squarefree-kernel join, O(P^2) for the whole range instead of the
+    O(P^3) of calling triangles_with_perimeter for each perimeter. The
+    squarefree kernel ker(m) is m with every square factor divided out,
+    so m*n is a square exactly when ker(m) == ker(n). With u = x + y the
+    squared area is (x*y) * (z*(u+z)); for each u the pairs
+    x <= y = u - x are grouped by ker(x*y), then every z in range probes
+    that table, and a pair matches z only if y <= z. The kernel of a
+    product comes from the factors': ker(m*n) = km*kn / gcd(km, kn)^2.
+    """
+    s_lo, s_hi = (lo + 1) // 2, (hi + 1) // 2  # lo <= 2s < hi
+    if s_hi <= s_lo:
+        return []
+    ker = _squarefree_kernels(s_hi)
+    # one packed int per hit: (s, a, b) in base K = s_hi, as a, b < s < s_hi
+    K = s_hi
+    keys = []
+    u = 2
+    while u + (u + 1) // 2 < s_hi:  # smallest s for this u is u + ceil(u/2)
+        z_lo = max((u + 1) // 2, s_lo - u)
+        z_hi = s_hi - u  # exclusive
+        if z_lo < z_hi:
+            pairs: dict[int, list[int]] = {}
+            for x in range(1, u // 2 + 1):
+                kx, ky = ker[x], ker[u - x]
+                g = gcd(kx, ky)
+                pairs.setdefault(kx * ky // (g * g), []).append(x)
+            for z in range(z_lo, z_hi):
+                kz, ks = ker[z], ker[u + z]
+                g = gcd(kz, ks)
+                xs = pairs.get(kz * ks // (g * g))
+                if xs:
+                    s = u + z
+                    for x in xs:
+                        if u - x <= z:  # y <= z
+                            keys.append((s * K + u) * K + x + z)
+        u += 1
+    keys.sort()
+    found = []
+    for key in keys:
+        sa, b = divmod(key, K)
+        s, a = divmod(sa, K)
+        found.append(Triangle(a, b, 2 * s - a - b))
     return found
 
 

@@ -126,6 +126,42 @@ def test_load_inconsistent_record_rejected(tmp_path):
             load(path)
 
 
+HEADER = {"format_version": 1, "p_max": 40, "count": 2, "built_at": ""}
+R345 = {"a": 3, "b": 4, "c": 5, "perimeter": 12, "area": 6, "classification": "deficient"}
+R51213 = {"a": 5, "b": 12, "c": 13, "perimeter": 30, "area": 30, "classification": "equable"}
+
+
+def _jsonl(*objects):
+    return b"".join(json.dumps(o, separators=(",", ":")).encode() + b"\n" for o in objects)
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"\xff\xfe\n", "line 1: not valid UTF-8", id="non-utf8-header"),
+    pytest.param(_jsonl(HEADER, R345) + b'{"a":\xff}\n', "line 3: not valid UTF-8",
+                 id="non-utf8-record"),
+    pytest.param(_jsonl(dict(HEADER, p_max="x", count=0)), "line 1: p_max must be int",
+                 id="header-p_max-str"),
+    pytest.param(_jsonl(dict(HEADER, format_version=True, count=0)),
+                 "line 1: format_version must be int", id="header-version-bool"),
+    pytest.param(_jsonl(dict(HEADER, count=0, built_at=0)), "line 1: built_at must be str",
+                 id="header-built_at-int"),
+    pytest.param(_jsonl(dict(HEADER, count=1), dict(R345, a=5, c=3)),
+                 r"line 2: sides \(5, 4, 3\) are not sorted", id="unsorted-sides"),
+    pytest.param(_jsonl(HEADER, R345, R345), "line 3: duplicate record", id="duplicate"),
+    pytest.param(_jsonl(HEADER, R51213, R345), "line 3: record out of order",
+                 id="out-of-order"),
+    pytest.param(_jsonl(dict(HEADER, p_max=10, count=1), R345),
+                 "line 2: perimeter 12 exceeds p_max 10", id="perimeter-over-p_max"),
+])
+def test_load_rejects_corruption_by_line(tmp_path, content, message):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(CatalogFormatError, match=message):
+        load(path)
+    path.write_bytes(_jsonl(HEADER, R345, R51213))  # the same records, well-formed
+    assert [r.perimeter for r in load(path).records] == [12, 30]
+
+
 def test_deterministic_bytes(tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     save(build(200), p1)

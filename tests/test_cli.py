@@ -173,6 +173,14 @@ def test_catalog_info_truncated_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_catalog_info_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run_cli(["catalog", "info", "--in", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: line 1: not valid UTF-8\n"
+
+
 def test_catalog_build_missing_flags(capsys):
     code, _, _ = run_cli(["catalog", "build", "--p-max", "10"], capsys)
     assert code == 2

@@ -12,6 +12,7 @@ from heronian.enumeration import (
     area_perimeter_bound,
     deficient_triangles,
     equable_triangles,
+    triangles_in_perimeter_range,
     triangles_with_area,
     triangles_with_perimeter,
 )
@@ -44,6 +45,33 @@ def test_perimeter_matches_naive_scan():
         by_perimeter.setdefault(a + b + c, []).append((a, b, c))
     for p in range(3, 261):
         assert sides(triangles_with_perimeter(p)) == by_perimeter.get(p, [])
+
+
+def test_range_join_matches_naive_scan():
+    expected = sorted((a + b + c, a, b, c) for a, b, c, _area in naive_triangle_scan(200))
+    got = [(t.perimeter, *t.sides) for t in triangles_in_perimeter_range(0, 201)]
+    assert got == expected
+
+
+def test_range_join_matches_per_perimeter_scan():
+    per_perimeter = {p: triangles_with_perimeter(p) for p in range(-2, 420)}
+    bounds = [(lo, hi) for lo in (-2, 0, 1, 5, 6, 11, 12, 13, 36, 37, 99)
+              for hi in (-1, 0, 6, 7, 12, 13, 36, 37, 54, 55, 100, 101, 419)]
+    bounds += [(p, p + 1) for p in range(0, 120)]  # single perimeters
+    for lo, hi in bounds:
+        expected = [t for p in range(lo, hi) for t in per_perimeter[p]]
+        assert triangles_in_perimeter_range(lo, hi) == expected, (lo, hi)
+    assert triangles_in_perimeter_range(100, 100) == []
+    assert triangles_in_perimeter_range(200, 100) == []
+
+
+def test_range_join_splits_into_adjacent_subranges():
+    whole = triangles_in_perimeter_range(1, 601)
+    for cuts in ([1, 601], [1, 300, 601], [1, 12, 13, 37, 250, 251, 600, 601],
+                 list(range(1, 601, 40)) + [601]):
+        parts = [t for lo, hi in zip(cuts, cuts[1:])
+                 for t in triangles_in_perimeter_range(lo, hi)]
+        assert parts == whole, cuts
 
 
 def test_area_known_values():

@@ -58,6 +58,13 @@ def test_lemma2_verified_and_witnesses():
         assert area * area // t.perimeter == expected == d.x * d.y * d.z // 2
 
 
+def test_lemma2_leaves_area_cache_alone():
+    heron_area.cache_clear()  # earlier tests may have cached these triangles
+    report = check_lemma2(600)
+    assert report.witnesses[0]["triangles_checked"] == 1723
+    assert heron_area.cache_info().currsize == 0
+
+
 def test_lemma3_verified():
     report = check_lemma3(2000)
     assert report.verdict == VERDICT_VERIFIED
