@@ -56,7 +56,8 @@ class CatalogRecord:
 
     @classmethod
     def from_triangle(cls, t: Triangle) -> CatalogRecord:
-        area = heron_area(t)
+        # uncached, so that building a catalog does not fill heron_area's cache
+        area = heron_area.__wrapped__(t)
         if area is None:
             raise ValueError(f"{t} is not Heronian")
         return cls(t.a, t.b, t.c, t.perimeter, area,
@@ -88,10 +89,10 @@ class Catalog:
     _by_area: dict = field(compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        # the indexes hold records; queries build Triangles only for their matches
         for r in self.records:
-            t = r.triangle()
-            self._by_perimeter.setdefault(r.perimeter, []).append(t)
-            self._by_area.setdefault(r.area, []).append(t)
+            self._by_perimeter.setdefault(r.perimeter, []).append(r)
+            self._by_area.setdefault(r.area, []).append(r)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -106,7 +107,8 @@ class Catalog:
 
         The answer is complete exactly when p is inside the built range.
         """
-        return sorted(self._by_perimeter.get(p, [])), p <= self.p_max
+        matches = self._by_perimeter.get(p, ())
+        return sorted(r.triangle() for r in matches), p <= self.p_max
 
     def query_by_area(self, area: int) -> tuple[list[Triangle], bool]:
         """Triangles with the given area, plus a completeness flag.
@@ -116,7 +118,8 @@ class Catalog:
         bound fits inside the built range; otherwise it is best-effort
         and the flag is False rather than silently truncating.
         """
-        return sorted(self._by_area.get(area, [])), 2 * area * area <= self.p_max
+        matches = self._by_area.get(area, ())
+        return sorted(r.triangle() for r in matches), 2 * area * area <= self.p_max
 
 
 def _records_for_range(bounds: tuple[int, int]) -> list[CatalogRecord]:
@@ -169,8 +172,11 @@ def _decoded_lines(fh):
 def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CatalogFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integer literals over the interpreter's digit
+        # limit; RecursionError covers nesting deeper than the decoder allows
+        detail = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        raise CatalogFormatError(f"line {lineno}: invalid JSON ({detail})") from exc
     if not isinstance(obj, dict) or tuple(obj.keys()) != expected_keys:
         raise CatalogFormatError(
             f"line {lineno}: expected keys {list(expected_keys)}, got "
@@ -182,11 +188,13 @@ def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
 def load(path) -> Catalog:
     """Read a catalog written by save, validating it line by line.
 
-    The header's fields must have their types. Each record's perimeter,
-    area and classification must agree with its sides, the sides must be
-    sorted, the perimeter must be within the header's p_max, and records
-    must be strictly increasing in (perimeter, a, b, c), so sorted and
-    unique.
+    The header's fields must have their types. Each record's numbers must
+    be plain integers and its sides sorted, positive and non-degenerate.
+    Its perimeter, area and classification must agree with its sides,
+    checked in exact integer arithmetic: area >= 1 and
+    16·area² = (a+b+c)(−a+b+c)(a−b+c)(a+b−c). The perimeter must be within
+    the header's p_max, and records must be strictly increasing in
+    (perimeter, a, b, c), so sorted and unique.
     """
     with open(path, "rb") as fh:
         lines = _decoded_lines(fh)
@@ -211,40 +219,45 @@ def load(path) -> Catalog:
             if not line.strip():
                 raise CatalogFormatError(f"line {lineno}: blank record line")
             row = _parse_line(line, lineno, RECORD_FIELDS)
-            try:
-                record = CatalogRecord(**row)
-                t = record.triangle()
-            except (TypeError, ValueError) as exc:
-                raise CatalogFormatError(f"line {lineno}: bad record ({exc})") from exc
-            if (record.a, record.b, record.c) != t.sides:
+            a, b, c, perimeter, area, classification = row.values()
+            sides = (a, b, c)
+            if ({type(a), type(b), type(c), type(perimeter), type(area)} != {int}
+                    or type(classification) is not str):
                 raise CatalogFormatError(
-                    f"line {lineno}: sides {(record.a, record.b, record.c)} are not sorted"
+                    f"line {lineno}: bad record (numbers must be plain integers "
+                    f"and classification a string, got {row!r})"
                 )
-            # uncached, so that loading a file does not grow heron_area's cache
-            area = heron_area.__wrapped__(t)
-            if area is None:
-                raise CatalogFormatError(f"line {lineno}: sides {t} have no integer area")
-            derived = {
-                "perimeter": t.perimeter,
-                "area": area,
-                "classification": Classification.compare(area, t.perimeter).value,
-            }
-            for name, value in derived.items():
-                if getattr(record, name) != value:
-                    raise CatalogFormatError(
-                        f"line {lineno}: {name} {getattr(record, name)!r} "
-                        f"does not match sides {t}"
-                    )
-            if record.perimeter > p_max:
+            if not a <= b <= c:
+                raise CatalogFormatError(f"line {lineno}: sides {sides} are not sorted")
+            if a < 1 or a + b <= c:
                 raise CatalogFormatError(
-                    f"line {lineno}: perimeter {record.perimeter} exceeds p_max {p_max}"
+                    f"line {lineno}: sides {sides} are degenerate or not positive"
                 )
-            key = (record.perimeter, *t.sides)
+            if perimeter != a + b + c:
+                raise CatalogFormatError(
+                    f"line {lineno}: perimeter {perimeter} does not match sides {sides}"
+                )
+            # Heron's formula squared; it alone would also accept the negated area
+            if area < 1 or (16 * area * area
+                            != perimeter * (b + c - a) * (a + c - b) * (a + b - c)):
+                raise CatalogFormatError(
+                    f"line {lineno}: area {area} does not match sides {sides}"
+                )
+            if classification != Classification.compare(area, perimeter).value:
+                raise CatalogFormatError(
+                    f"line {lineno}: classification {classification!r} "
+                    f"does not match sides {sides}"
+                )
+            if perimeter > p_max:
+                raise CatalogFormatError(
+                    f"line {lineno}: perimeter {perimeter} exceeds p_max {p_max}"
+                )
+            key = (perimeter, a, b, c)
             if key <= previous:
                 problem = "duplicate record" if key == previous else "record out of order"
-                raise CatalogFormatError(f"line {lineno}: {problem} {t}")
+                raise CatalogFormatError(f"line {lineno}: {problem} {sides}")
             previous = key
-            records.append(record)
+            records.append(CatalogRecord(a, b, c, perimeter, area, classification))
     if len(records) != header["count"]:
         raise CatalogFormatError(
             f"line {len(records) + 1}: header count {header['count']} does not "

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from heronian.catalog import (
     load,
     save,
 )
-from heronian.core import Triangle
+from heronian.core import Triangle, heron_area
 from heronian.enumeration import triangles_with_area, triangles_with_perimeter
 
 
@@ -152,6 +153,21 @@ def _jsonl(*objects):
                  id="out-of-order"),
     pytest.param(_jsonl(dict(HEADER, p_max=10, count=1), R345),
                  "line 2: perimeter 12 exceeds p_max 10", id="perimeter-over-p_max"),
+    pytest.param(_jsonl(HEADER) + b'{"a":' + b"9" * 5000 + b"}\n",
+                 r"line 2: invalid JSON \(Exceeds the limit", id="integer-too-long"),
+    pytest.param(_jsonl(HEADER, R345) + b"[" * 100_000 + b"\n",
+                 r"line 3: invalid JSON \(maximum recursion depth", id="deep-nesting"),
+    pytest.param(_jsonl(HEADER, dict(R345, area=-6)), "line 2: area -6 does not match",
+                 id="area-negated"),
+    pytest.param(_jsonl(HEADER, dict(R345, area=0)), "line 2: area 0 does not match",
+                 id="area-zero"),
+    pytest.param(_jsonl(HEADER, dict(R345, area=7)), "line 2: area 7 does not match",
+                 id="area-wrong"),
+    pytest.param(_jsonl(HEADER, dict(R345, a=True)), "line 2: bad record", id="bool-side"),
+    pytest.param(_jsonl(HEADER, dict(R345, a=0, perimeter=9)),
+                 r"line 2: sides \(0, 4, 5\) are degenerate or not positive", id="zero-side"),
+    pytest.param(_jsonl(HEADER, dict(R345, classification=6)), "line 2: bad record",
+                 id="classification-not-str"),
 ])
 def test_load_rejects_corruption_by_line(tmp_path, content, message):
     path = tmp_path / "c.jsonl"
@@ -214,6 +230,35 @@ def test_query_matches_enumeration_on_guaranteed_region():
         triangles, complete = cat.query_by_perimeter(p)
         assert complete
         assert triangles == triangles_with_perimeter(p)
+
+
+def _answers(cat, perimeters, areas):
+    return ([cat.query_by_perimeter(p) for p in perimeters],
+            [cat.query_by_area(a) for a in areas])
+
+
+def test_loaded_catalog_answers_like_built(tmp_path):
+    built = build(600)
+    path = tmp_path / "c.jsonl"
+    save(built, path)
+    perimeters, areas = range(701), range(401)
+    assert _answers(load(path), perimeters, areas) == _answers(built, perimeters, areas)
+
+
+def test_query_sorts_records_given_in_any_order():
+    built = build(600)
+    shuffled = Catalog(built.p_max, tuple(random.Random(5).sample(built.records, len(built))))
+    perimeters, areas = range(701), range(401)
+    answers = _answers(shuffled, perimeters, areas)
+    assert answers == _answers(built, perimeters, areas)
+    for triangles, _ in answers[0] + answers[1]:
+        assert triangles == sorted(triangles)
+
+
+def test_build_leaves_heron_area_cache_empty():
+    heron_area.cache_clear()  # earlier tests may have cached these triangles
+    assert len(build(600)) > 0
+    assert heron_area.cache_info().currsize == 0
 
 
 def test_catalog_equality_ignores_timestamp():

@@ -181,6 +181,20 @@ def test_catalog_info_non_utf8_file(tmp_path, capsys):
     assert err == "error: line 1: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("line, detail", [
+    pytest.param(b'{"p_max":' + b"9" * 5000 + b"}\n", "Exceeds the limit",
+                 id="integer-too-long"),
+    pytest.param(b"[" * 100_000 + b"\n", "maximum recursion depth", id="deep-nesting"),
+])
+def test_catalog_info_undecodable_json(tmp_path, capsys, line, detail):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(line)
+    code, out, err = run_cli(["catalog", "info", "--in", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: line 1: invalid JSON ({detail}")
+    assert len(err.splitlines()) == 1
+
+
 def test_catalog_build_missing_flags(capsys):
     code, _, _ = run_cli(["catalog", "build", "--p-max", "10"], capsys)
     assert code == 2
