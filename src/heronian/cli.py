@@ -53,7 +53,11 @@ def cmd_enumerate(args) -> int:
         triangles = triangles_with_perimeter(args.perimeter)
         query = {"perimeter": args.perimeter}
     else:
-        triangles = triangles_with_area(args.area)
+        try:
+            triangles = triangles_with_area(args.area)
+        except ValueError as exc:  # a prime factor too large to certify
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         query = {"area": args.area}
     rows = [catalog_mod.CatalogRecord.from_triangle(t).row() for t in triangles]
     _emit(args.format, {"query": query, "triangles": rows}, rows, catalog_mod.RECORD_FIELDS)

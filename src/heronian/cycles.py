@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from heronian.core import Classification, Triangle, classify, heron_area
-from heronian.enumeration import triangles_with_area, triangles_with_perimeter
+from heronian.enumeration import (
+    triangles_in_perimeter_range,
+    triangles_with_area,
+    triangles_with_perimeter,
+)
 
 __all__ = [
     "ChainDirection",
@@ -178,20 +182,16 @@ def _cycle_core(p_max: int) -> tuple[tuple[Triangle, ...], dict]:
     """Recurrent core of the successor graph on triangles with
     perimeter <= p_max and area <= p_max.
 
-    Vertices come from the area enumerator (every triangle with area
-    <= p_max), filtered by perimeter. Vertices with no successor or no
+    The vertices come from one area-capped kernel join over perimeters
+    0..p_max, which finds every triangle in both bounds at once instead
+    of querying each area up to p_max. Vertices with no successor or no
     predecessor inside the set are trimmed iteratively; that never
     removes a vertex lying on a closed walk, so walk enumeration over
     the core is complete.
     """
-    vertices: set[Triangle] = set()
-    for area in range(1, p_max + 1):
-        for t in triangles_with_area(area):
-            if t.perimeter <= p_max:
-                vertices.add(t)
-
+    vertices = triangles_in_perimeter_range(0, p_max + 1, area_max=p_max)
     by_perimeter: dict[int, list[Triangle]] = {}
-    for t in sorted(vertices):
+    for t in vertices:  # sorted by perimeter, then sides
         by_perimeter.setdefault(t.perimeter, []).append(t)
 
     def succ_of(t: Triangle) -> list[Triangle]:

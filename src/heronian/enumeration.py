@@ -3,16 +3,22 @@
 All searches run in the gap coordinates (x, y, z) with x <= y <= z: a
 triangle with semiperimeter s = x + y + z has sides (x+y, x+z, y+z) and
 squared area s*x*y*z. The perimeter enumerator scans every triple with a
-fixed sum; the range enumerator joins gap pairs on squarefree kernels,
+fixed sum. The range enumerator joins gap pairs on squarefree kernels,
 so all perimeters below P together cost O(P^2), as one perimeter does
-for the scan; the area enumerator only visits divisor pairs of the
-squared area, which keeps it fast even for large areas. Every enumerator
+for the scan; an optional area bound caps its scan, which is how the
+cycle core gets every triangle with perimeter and area <= P. The area
+enumerator only visits divisor pairs of the squared area, so it costs
+about the divisor count of area^2; it factorizes the area by trial
+division below 1000, then Miller-Rabin and Pollard rho, and refuses
+(ValueError) an area with a prime factor the test cannot certify, that
+is one at or above 3,317,044,064,679,887,385,961,981. Every enumerator
 returns a sorted list (the range enumerator by perimeter first, the
 others lexicographically), so output is deterministic.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
 
 from heronian.core import (
@@ -81,9 +87,11 @@ def _squarefree_kernels(n: int) -> list[int]:
     return ker
 
 
-def triangles_in_perimeter_range(lo: int, hi: int) -> list[Triangle]:
+def triangles_in_perimeter_range(
+    lo: int, hi: int, area_max: int | None = None
+) -> list[Triangle]:
     """All Heronian triangles with lo <= perimeter < hi, sorted by
-    (perimeter, a, b, c).
+    (perimeter, a, b, c); with area_max, only those of area <= area_max.
 
     Squarefree-kernel join, O(P^2) for the whole range instead of the
     O(P^3) of calling triangles_with_perimeter for each perimeter. The
@@ -93,10 +101,16 @@ def triangles_in_perimeter_range(lo: int, hi: int) -> list[Triangle]:
     x <= y = u - x are grouped by ker(x*y), then every z in range probes
     that table, and a pair matches z only if y <= z. The kernel of a
     product comes from the factors': ker(m*n) = km*kn / gcd(km, kn)^2.
+
+    The area bound caps z once per u: x*y >= u - 1, so a triangle of
+    area <= area_max has (u-1)*z*(u+z) <= area_max^2. That cap shrinks
+    as u grows, so the scan ends once it falls below ceil(u/2), the
+    smallest z any u allows; each hit's area is then checked exactly.
     """
     s_lo, s_hi = (lo + 1) // 2, (hi + 1) // 2  # lo <= 2s < hi
-    if s_hi <= s_lo:
+    if s_hi <= s_lo or (area_max is not None and area_max < 1):
         return []
+    a2 = None if area_max is None else area_max * area_max
     ker = _squarefree_kernels(s_hi)
     # one packed int per hit: (s, a, b) in base K = s_hi, as a, b < s < s_hi
     K = s_hi
@@ -105,6 +119,12 @@ def triangles_in_perimeter_range(lo: int, hi: int) -> list[Triangle]:
     while u + (u + 1) // 2 < s_hi:  # smallest s for this u is u + ceil(u/2)
         z_lo = max((u + 1) // 2, s_lo - u)
         z_hi = s_hi - u  # exclusive
+        if a2 is not None:
+            # largest z with z*(u+z) <= a2 // (u-1)
+            z_cap = (isqrt(u * u + 4 * (a2 // (u - 1))) - u) // 2
+            if z_cap < (u + 1) // 2:
+                break
+            z_hi = min(z_hi, z_cap + 1)
         if z_lo < z_hi:
             pairs: dict[int, list[int]] = {}
             for x in range(1, u // 2 + 1):
@@ -118,7 +138,7 @@ def triangles_in_perimeter_range(lo: int, hi: int) -> list[Triangle]:
                 if xs:
                     s = u + z
                     for x in xs:
-                        if u - x <= z:  # y <= z
+                        if u - x <= z and (a2 is None or s * x * (u - x) * z <= a2):
                             keys.append((s * K + u) * K + x + z)
         u += 1
     keys.sort()
@@ -130,17 +150,96 @@ def triangles_in_perimeter_range(lo: int, hi: int) -> list[Triangle]:
     return found
 
 
+# Miller-Rabin with the prime bases up to 41 has no strong pseudoprime
+# below this bound (Sorenson and Webster, 2015), so below it a number
+# that passes is prime; the bound itself is the first pseudoprime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_CERTIFIED_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """Strong probable-prime test of an odd n > 41 to every base in _MR_BASES."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of
+    Pollard's rho on x -> x^2 + c, trying c = 1, 2, ... until one splits n.
+
+    Differences are multiplied together in batches of m and only the
+    product goes through gcd; a batch that overshoots to gcd n is
+    replayed one step at a time from its start.
+    """
+    m = 64
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ValueError(f"{n} is not an odd composite")
+
+
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; plenty at desk scale."""
+    """Prime factorization of n >= 1, as {prime: exponent}.
+
+    Trial division removes the primes below 1000. What is left has only
+    prime factors above 1000, so a cofactor below 1000^2 is prime; a
+    larger one is tested with Miller-Rabin and, if composite, split by
+    Pollard rho until every part is prime. The test is only a proof of
+    primality below _MR_CERTIFIED_BELOW, so a cofactor at or above that
+    bound which passes it is never taken as prime: ValueError instead.
+    """
     factors: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d < 1000 and d * d <= n:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < 1000 * 1000 or _passes_miller_rabin(m):
+            if m >= _MR_CERTIFIED_BELOW:
+                raise ValueError(
+                    f"cannot certify the factor {m} as prime: Miller-Rabin with "
+                    f"bases 2..41 is a proof only below {_MR_CERTIFIED_BELOW}"
+                )
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            f = _pollard_brent(m)
+            parts += [f, m // f]
     return factors
 
 
@@ -162,6 +261,10 @@ def triangles_with_area(area: int) -> list[Triangle]:
     s*x*y*z = area^2 with x <= y <= z: x satisfies 3*x^4 <= area^2 and
     y satisfies x*y*y*(x + 2*y) <= area^2, so the scan is finite and
     provably complete.
+
+    Raises ValueError if the area has a prime factor at or above
+    3,317,044,064,679,887,385,961,981, which _factorize cannot prove
+    prime.
     """
     if area < 1:
         return []
@@ -169,13 +272,11 @@ def triangles_with_area(area: int) -> list[Triangle]:
     # divisors of area^2, from the factorization of area with doubled exponents
     divisors = _divisors({p: 2 * e for p, e in _factorize(area).items()})
     found = []
-    for x in divisors:
+    for i, x in enumerate(divisors):
         if 3 * x**4 > a2:
             break
         rest = a2 // x
-        for y in divisors:
-            if y < x:
-                continue
+        for y in islice(divisors, i, None):  # y >= x
             if x * y * y * (x + 2 * y) > a2:
                 break
             if rest % y:

@@ -11,6 +11,7 @@ form with the pairs written first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from heronian.core import Triangle
 from heronian.cycles import ConcreteCycle, canonical_rotation
@@ -65,37 +66,73 @@ class CycleWord:
         return self.symbols
 
 
-def _block_words(n: int):
-    """Yield every length-n string of 'UV' and 'W' blocks, iteratively."""
-    stack = [""]
-    while stack:
-        w = stack.pop()
-        if len(w) == n:
-            yield w
-        else:
-            if len(w) + 1 <= n:
-                stack.append(w + "W")
-            if len(w) + 2 <= n:
-                stack.append(w + "UV")
+def _gap_necklaces(k: int, total: int) -> list[tuple[int, ...]]:
+    """Every necklace of k >= 1 non-negative gaps summing to total, each
+    as its lexicographically least rotation.
+
+    FKM recursion (Fredricksen, Kessler, Maiorana): position t takes
+    values from gaps[t - p] up, p being the period of the Lyndon prefix
+    so far, and a full prefix is a necklace when p divides k. Since no
+    entry of a necklace is below its first, the values still to place
+    need at least (k - t) * gaps[1] of the remaining sum, which prunes
+    the search; the last gap is whatever remains. Depth is k.
+    """
+    gaps = [0] * (k + 1)  # 1-based; gaps[0] is the floor for position 1
+    found: list[tuple[int, ...]] = []
+
+    def extend(t: int, p: int, rest: int) -> None:
+        floor = gaps[t - p]
+        if t == k:
+            if rest >= floor and k % (p if rest == floor else k) == 0:
+                gaps[k] = rest
+                found.append(tuple(gaps[1:]))
+            return
+        top = rest // (k - t + 1) if t == 1 else rest - (k - t) * gaps[1]
+        for v in range(floor, top + 1):
+            gaps[t] = v
+            extend(t + 1, p if v == floor else t, rest - v)
+
+    extend(1, 1, total)
+    return found
 
 
 def enumerate_words(n: int) -> list[CycleWord]:
     """All valid cycle words of length n, one per rotation class, sorted.
 
-    Valid words decompose uniquely into UV blocks and W blocks, and
-    every rotation class has a representative that starts on a block
-    boundary, so generating block sequences of total length n (with at
-    least one UV) and deduplicating rotations is exhaustive.
+    Valid words decompose uniquely into UV blocks and W blocks. With k
+    UV blocks, every rotation starting on a U reads UV W^g1 ... UV W^gk,
+    and as U < W a shorter run of W's compares smaller, so the least
+    rotation of the word is the one whose gap sequence (g1, ..., gk) is
+    least. The words are therefore exactly the necklaces of k >= 1
+    non-negative gaps summing to n - 2k, generated directly rather than
+    by canonicalizing every block string; each still goes through
+    CycleWord's validation.
     """
     if n < 1:
         raise ValueError("word length must be at least 1")
-    classes = {canonical_rotation(w) for w in _block_words(n) if "U" in w}
-    return sorted(CycleWord(w) for w in classes)
+    words = sorted(
+        "".join("UV" + "W" * g for g in gaps)
+        for k in range(1, n // 2 + 1)
+        for gaps in _gap_necklaces(k, n - 2 * k)
+    )
+    return [CycleWord(w) for w in words]
 
 
 def count_words(n: int) -> int:
-    """Number of distinct cycle words of length n."""
-    return len(enumerate_words(n))
+    """Number of distinct cycle words of length n, in closed form.
+
+    Cyclic arrangements of W and UV blocks filling n marked positions
+    are counted by the Lucas number L_n; one fixed by rotation through j
+    positions repeats with period gcd(j, n), so Burnside's lemma gives
+    (1/n) * sum_{d | n} phi(n/d) * L_d classes, written below as the
+    equal sum of L_gcd(j, n) over j. The one all-W word is subtracted.
+    """
+    if n < 1:
+        raise ValueError("word length must be at least 1")
+    lucas = [2, 1]
+    while len(lucas) <= n:
+        lucas.append(lucas[-1] + lucas[-2])
+    return sum(lucas[gcd(j, n)] for j in range(n)) // n - 1
 
 
 def replacement_family(n: int) -> list[CycleWord]:

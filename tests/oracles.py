@@ -61,3 +61,36 @@ def words_oracle(n: int) -> set[str]:
             word = "".join(raw)
             classes.add(min(word[i:] + word[:i] for i in range(n)))
     return classes
+
+
+def block_words_oracle(n: int) -> set[str]:
+    """All valid cycle words of length n, one canonical rotation each, by
+    canonicalizing every length-n string of 'UV' and 'W' blocks that
+    holds a UV block: the construction enumerate_words used before it
+    generated gap necklaces directly."""
+    classes = set()
+    stack = [""]
+    while stack:
+        w = stack.pop()
+        if len(w) == n:
+            if "U" in w:
+                classes.add(min(w[i:] + w[:i] for i in range(n)))
+        else:
+            stack.append(w + "W")
+            if len(w) + 2 <= n:
+                stack.append(w + "UV")
+    return classes
+
+
+def trial_division_factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division up to sqrt(n)."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors

@@ -34,6 +34,26 @@ def test_enumerate_empty_result_is_success(capsys):
     assert json.loads(out)["triangles"] == []
 
 
+def test_enumerate_area_large_prime_answers_quickly():
+    # trial division used to run to about 10^9 on this prime
+    proc = subprocess.run(
+        [sys.executable, "-m", "heronian", "enumerate", "--area",
+         "1000000000000000003", "--format", "json"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "query": {"area": 1000000000000000003}, "triangles": []}
+
+
+def test_enumerate_area_refuses_uncertifiable_prime(capsys):
+    code, out, err = run_cli(["enumerate", "--area", str(2**89 - 1)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "3317044064679887385961981" in err
+
+
 def test_enumerate_csv(capsys):
     code, out, _ = run_cli(["enumerate", "--perimeter", "12", "--format", "csv"], capsys)
     assert code == 0

@@ -12,6 +12,7 @@ from heronian.cycles import (
     predecessors,
     successors,
     trace_chain,
+    _cycle_core,
 )
 from heronian.enumeration import (
     equable_triangles,
@@ -196,3 +197,27 @@ def test_cycle_members_satisfy_vertex_bounds():
 def test_successor_membership_matches_enumerators():
     assert successors(U) == triangles_with_perimeter(54)
     assert predecessors(V) == triangles_with_area(54)
+
+
+def per_area_core(p_max):
+    """The recurrent core as built before the capped join: one area query
+    per area up to p_max, then the greatest subset in which every vertex
+    has a successor and a predecessor."""
+    alive = {t for area in range(1, p_max + 1) for t in triangles_with_area(area)
+             if t.perimeter <= p_max}
+    while True:
+        perimeters = {t.perimeter for t in alive}
+        areas = {heron_area(t) for t in alive}
+        kept = {t for t in alive if heron_area(t) in perimeters and t.perimeter in areas}
+        if kept == alive:
+            break
+        alive = kept
+    succ = {t: tuple(sorted(u for u in alive if u.perimeter == heron_area(t)))
+            for t in alive}
+    return tuple(sorted(alive)), succ
+
+
+@pytest.mark.parametrize("p_max", [1, 35, 36, 100, 999, 2000, 4750])
+def test_cycle_core_matches_per_area_core(p_max):
+    _cycle_core.cache_clear()
+    assert _cycle_core(p_max) == per_area_core(p_max)

@@ -1,4 +1,8 @@
-from oracles import naive_triangle_scan
+import random
+
+import pytest
+
+from oracles import naive_triangle_scan, trial_division_factorize
 
 from heronian.core import (
     Classification,
@@ -9,6 +13,8 @@ from heronian.core import (
     perfect_square_root,
 )
 from heronian.enumeration import (
+    _MR_CERTIFIED_BELOW,
+    _factorize,
     area_perimeter_bound,
     deficient_triangles,
     equable_triangles,
@@ -72,6 +78,92 @@ def test_range_join_splits_into_adjacent_subranges():
         parts = [t for lo, hi in zip(cuts, cuts[1:])
                  for t in triangles_in_perimeter_range(lo, hi)]
         assert parts == whole, cuts
+
+
+def test_capped_range_join_matches_naive_scan():
+    scan = sorted((a + b + c, a, b, c, area) for a, b, c, area in naive_triangle_scan(200))
+    for area_max in (-3, 0, 1, 5, 6, 24, 36, 60, 84, 150, 336, 1000, 1680, 10**6):
+        for lo, hi in ((0, 201), (1, 201), (13, 100), (37, 55), (100, 201), (150, 151)):
+            expected = [(p, a, b, c) for p, a, b, c, area in scan
+                        if lo <= p < hi and area <= area_max]
+            got = [(t.perimeter, *t.sides)
+                   for t in triangles_in_perimeter_range(lo, hi, area_max=area_max)]
+            assert got == expected, (lo, hi, area_max)
+
+
+def per_area_vertices(p_max):
+    """Triangles with perimeter and area <= p_max, one area query at a time."""
+    return {t for area in range(1, p_max + 1) for t in triangles_with_area(area)
+            if t.perimeter <= p_max}
+
+
+@pytest.mark.parametrize("p_max", [1, 35, 36, 100, 999, 2000, 4750])
+def test_capped_range_join_matches_per_area_vertices(p_max):
+    # with lo > 0 the z scan of the small u starts at s_lo - u, not ceil(u/2)
+    vertices = sorted(per_area_vertices(p_max), key=lambda t: (t.perimeter, t.sides))
+    for lo in (0, 1, 12, p_max // 3, p_max // 2, p_max - 100, p_max):
+        expected = [t for t in vertices if t.perimeter >= lo]
+        assert triangles_in_perimeter_range(lo, p_max + 1, area_max=p_max) == expected, lo
+
+
+def test_factorize_matches_trial_division():
+    rng = random.Random(2024)
+    numbers = [rng.randint(1, 10**12) for _ in range(200)] + list(range(1, 2000))
+    for n in numbers:
+        assert _factorize(n) == trial_division_factorize(n), n
+
+
+HARD_FACTORIZATIONS = {
+    # semiprimes with both factors near 10^6
+    999_983 * 1_000_003: {999_983: 1, 1_000_003: 1},
+    1_000_003 * 1_000_033: {1_000_003: 1, 1_000_033: 1},
+    # prime squares and cubes above 10^6
+    1_000_003**2: {1_000_003: 2},
+    1_000_033**3: {1_000_033: 3},
+    999_983**3 * 1_000_003: {999_983: 3, 1_000_003: 1},
+    # Carmichael numbers; the last three are Chernick's (6k+1)(12k+1)(18k+1),
+    # every factor above the trial-division limit of 1000
+    561: {3: 1, 11: 1, 17: 1},
+    41_041: {7: 1, 11: 1, 13: 1, 41: 1},
+    9_624_742_921: {1171: 1, 2341: 1, 3511: 1},
+    11_346_205_609: {1237: 1, 2473: 1, 3709: 1},
+    21_515_221_081: {1531: 1, 3061: 1, 4591: 1},
+    # strong pseudoprimes to base 2; the last two have every factor above
+    # 1000, and the last passes every base up to 31, so only 37 rejects it
+    2047: {23: 1, 89: 1},
+    3_215_031_751: {151: 1, 751: 1, 28351: 1},
+    25_326_001: {2251: 1, 11251: 1},
+    3_825_123_056_546_413_051: {149491: 1, 747451: 1, 34233211: 1},
+    # primes far beyond trial division, below the certification bound
+    1_000_000_000_000_000_003: {1_000_000_000_000_000_003: 1},
+    2**61 - 1: {2**61 - 1: 1},
+}
+
+
+@pytest.mark.parametrize("n", sorted(HARD_FACTORIZATIONS))
+def test_factorize_hard_cases(n):
+    expected = HARD_FACTORIZATIONS[n]
+    assert _factorize(n) == expected
+    if n < 10**13:
+        assert trial_division_factorize(n) == expected
+
+
+def test_factorize_composites_above_the_bound():
+    # composite, so Miller-Rabin rejects them and Pollard rho splits them
+    assert _factorize(10_000_019 * (2**61 - 1) * (2**31 - 1)) == {
+        10_000_019: 1, 2**61 - 1: 1, 2**31 - 1: 1}
+    assert _factorize(2**100) == {2: 100}
+    assert 10_000_019 * (2**61 - 1) * (2**31 - 1) > _MR_CERTIFIED_BELOW
+
+
+def test_factorize_refuses_an_uncertifiable_prime():
+    # 2^89 - 1 is prime; the bound itself is a strong pseudoprime to
+    # every base up to 41 (1287836182261 * 2575672364521)
+    for n in (2**89 - 1, _MR_CERTIFIED_BELOW, 6 * (2**89 - 1)):
+        with pytest.raises(ValueError, match=str(_MR_CERTIFIED_BELOW)):
+            _factorize(n)
+        with pytest.raises(ValueError):
+            triangles_with_area(n)
 
 
 def test_area_known_values():

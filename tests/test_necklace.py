@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import words_oracle
+from oracles import block_words_oracle, words_oracle
 
 from heronian.core import Triangle
 from heronian.cycles import ConcreteCycle, find_cycles
@@ -46,8 +46,14 @@ def test_enumerate_words_known_values():
 
 
 def test_enumerate_words_matches_brute_force():
-    for n in range(1, 11):
+    for n in range(1, 13):
         assert {w.symbols for w in enumerate_words(n)} == words_oracle(n)
+
+
+def test_enumerate_words_matches_block_strings():
+    for n in range(1, 23):
+        words = enumerate_words(n)
+        assert [w.symbols for w in words] == sorted(block_words_oracle(n)), n
 
 
 def test_count_words():
@@ -55,6 +61,13 @@ def test_count_words():
     assert count_words(4) == 2
     assert count_words(6) == 4
     assert [count_words(n) for n in range(1, 9)] == [0, 1, 1, 2, 2, 4, 4, 7]
+    with pytest.raises(ValueError):
+        count_words(0)
+
+
+def test_count_words_closed_form_matches_enumeration():
+    for n in range(1, 27):
+        assert count_words(n) == len(enumerate_words(n)), n
 
 
 def test_rotation_closure():
