@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 
 from heronian.core import Classification, Triangle, heron_area
 from heronian.enumeration import (
+    area_perimeter_bound,
     triangles_in_perimeter_range,
     triangles_with_perimeter,  # unused here; the benchmark tracer wraps this name
 )
@@ -119,7 +120,7 @@ class Catalog:
         and the flag is False rather than silently truncating.
         """
         matches = self._by_area.get(area, ())
-        return sorted(r.triangle() for r in matches), 2 * area * area <= self.p_max
+        return sorted(r.triangle() for r in matches), area_perimeter_bound(area) <= self.p_max
 
 
 def _records_for_range(bounds: tuple[int, int]) -> list[CatalogRecord]:
@@ -133,7 +134,8 @@ def build(p_max: int, workers: int = 1) -> Catalog:
     With workers > 1 the perimeter range is split into consecutive
     chunks processed by a process pool. Each chunk comes back sorted by
     (perimeter, a, b, c) and pool.map keeps the chunk order, so the
-    result does not depend on worker scheduling.
+    result does not depend on worker scheduling. The pool does not pay on
+    2 cores; it stays only for the perfbench/ probe build(2000, workers=2).
     """
     if p_max < 1:
         raise ValueError("p_max must be positive")

@@ -137,7 +137,7 @@ def cmd_catalog(args) -> int:
     if args.action == "build":
         if args.p_max is None or args.out is None:
             raise ValueError("catalog build requires --p-max and --out")
-        cat = catalog_mod.build(args.p_max, workers=args.workers)
+        cat = catalog_mod.build(args.p_max)
         try:
             catalog_mod.save(cat, args.out)
         except OSError as exc:
@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--out", help="output path for build")
     p_cat.add_argument("--in", dest="path",
                        help=f"catalog path for info (default: ${CATALOG_ENV_VAR})")
-    p_cat.add_argument("--workers", type=int, default=1,
-                       help="parallel build workers (default 1)")
     _add_format(p_cat)
 
     return parser

@@ -194,23 +194,20 @@ def _cycle_core(p_max: int) -> tuple[tuple[Triangle, ...], dict]:
     for t in vertices:  # sorted by perimeter, then sides
         by_perimeter.setdefault(t.perimeter, []).append(t)
 
-    def succ_of(t: Triangle) -> list[Triangle]:
-        area = heron_area(t)
-        assert area is not None
-        return by_perimeter.get(area, [])
+    succ_of = {t: by_perimeter.get(heron_area(t), ()) for t in vertices}
 
     alive = set(vertices)
     while True:
-        has_succ = {t for t in alive if any(u in alive for u in succ_of(t))}
+        has_succ = {t for t in alive if any(u in alive for u in succ_of[t])}
         with_preds: set[Triangle] = set()
         for t in has_succ:
-            with_preds.update(u for u in succ_of(t) if u in has_succ)
+            with_preds.update(u for u in succ_of[t] if u in has_succ)
         if with_preds == alive:
             break
         alive = with_preds
 
     core = tuple(sorted(alive))
-    succ = {t: tuple(u for u in succ_of(t) if u in alive) for t in core}
+    succ = {t: tuple(u for u in succ_of[t] if u in alive) for t in core}
     return core, succ
 
 

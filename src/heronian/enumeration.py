@@ -2,18 +2,19 @@
 
 All searches run in the gap coordinates (x, y, z) with x <= y <= z: a
 triangle with semiperimeter s = x + y + z has sides (x+y, x+z, y+z) and
-squared area s*x*y*z. The perimeter enumerator scans every triple with a
-fixed sum. The range enumerator joins gap pairs on squarefree kernels,
-so all perimeters below P together cost O(P^2), as one perimeter does
-for the scan; an optional area bound caps its scan, which is how the
-cycle core gets every triangle with perimeter and area <= P. The area
-enumerator only visits divisor pairs of the squared area, so it costs
-about the divisor count of area^2; it factorizes the area by trial
-division below 1000, then Miller-Rabin and Pollard rho, and refuses
-(ValueError) an area with a prime factor the test cannot certify, that
-is one at or above 3,317,044,064,679,887,385,961,981. Every enumerator
-returns a sorted list (the range enumerator by perimeter first, the
-others lexicographically), so output is deterministic.
+squared area s*x*y*z, which is a square exactly when x*y and s*z have
+the same squarefree kernel. The perimeter enumerator steps through
+x*y = ker(s*z)*t^2 for each x + y; the range enumerator joins gap pairs
+on their kernels, so all perimeters below P cost O(P^2), and an
+optional area bound caps it, which is how the cycle core gets every
+triangle with perimeter and area <= P. The area enumerator only visits
+divisor pairs of the squared area, so it costs about the divisor count
+of area^2; it factorizes the area by trial division below 1000, then
+Miller-Rabin and Pollard rho, and refuses (ValueError) an area with a
+prime factor the test cannot certify, that is one at or above
+3,317,044,064,679,887,385,961,981. Every enumerator returns a sorted
+list (the range enumerator by perimeter first, the others
+lexicographically), so output is deterministic.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from itertools import islice
 from math import gcd
 
 from heronian.core import (
-    _SQ_MOD_256,
-    _SQ_MOD_3465,
     Triangle,
     heron_area,
     isqrt,
@@ -56,22 +55,28 @@ def triangles_with_perimeter(p: int) -> list[Triangle]:
 
     Odd perimeters have no Heronian triangles (the semiperimeter would
     not be an integer) and give an empty list.
+
+    With u = x + y and z = s - u, s*x*y*z is a square exactly when
+    x*y = K*t^2 with K = ker(s*z), i.e. (y - x)^2 = u^2 - 4*K*t^2. So for
+    each u with z >= ceil(u/2), t runs while 4*K*t^2 <= u^2 (equality is
+    x = y), one perfect-square test each; K is usually large, so few t.
     """
     if p < 3 or p % 2:
         return []
     s = p // 2
+    ker = _squarefree_kernels(s)
     found = []
-    sq256, sq3465 = _SQ_MOD_256, _SQ_MOD_3465  # hoisted: this loop is hot
-    for x in range(1, s // 3 + 1):
-        sx = s * x
-        rem = s - x
-        for y in range(x, rem // 2 + 1):
-            z = rem - y
-            v = sx * y * z
-            if sq256[v & 255] and sq3465[v % 3465]:
-                r = isqrt(v)
-                if r * r == v:
-                    found.append(Triangle(x + y, x + z, y + z))
+    for u in range(2, 2 * s // 3 + 1):  # 3u <= 2s, i.e. z >= ceil(u/2)
+        z = s - u
+        g = gcd(ker[s], ker[z])
+        k4 = 4 * (ker[s] * ker[z] // (g * g))  # 4 * ker(s*z)
+        u2 = u * u
+        t = 1
+        while k4 * t * t <= u2:
+            d = perfect_square_root(u2 - k4 * t * t)  # y - x
+            if d is not None and u + d <= 2 * z:  # y <= z
+                found.append(Triangle(u, z + (u - d) // 2, z + (u + d) // 2))
+            t += 1
     found.sort()
     return found
 
@@ -93,8 +98,7 @@ def triangles_in_perimeter_range(
     """All Heronian triangles with lo <= perimeter < hi, sorted by
     (perimeter, a, b, c); with area_max, only those of area <= area_max.
 
-    Squarefree-kernel join, O(P^2) for the whole range instead of the
-    O(P^3) of calling triangles_with_perimeter for each perimeter. The
+    Squarefree-kernel join, O(P^2) for the whole range. The
     squarefree kernel ker(m) is m with every square factor divided out,
     so m*n is a square exactly when ker(m) == ker(n). With u = x + y the
     squared area is (x*y) * (z*(u+z)); for each u the pairs

@@ -39,25 +39,24 @@ class CycleWord:
     Construction validates the pairing rule (each U is cyclically
     followed by V, each V preceded by U) and requires at least one U.
     Any rotation of a valid word constructs the same CycleWord.
+
+    The least rotation of a valid word starts with U, so no UV pair
+    straddles its cut: it is valid exactly when that rotation starts
+    with U and removing every UV leaves only W's.
     """
 
     symbols: str
 
     def __post_init__(self) -> None:
         w = self.symbols
-        n = len(w)
-        if n < 1:
+        if not w:
             raise ValueError("a cycle word needs at least one symbol")
         if set(w) - set("UVW"):
             raise ValueError(f"symbols must be U, V or W, got {w!r}")
-        if "U" not in w:
-            raise ValueError(f"{w!r} has no UV pair; all-W words are excluded")
-        for i, ch in enumerate(w):
-            if ch == "U" and w[(i + 1) % n] != "V":
-                raise ValueError(f"U at position {i} of {w!r} is not followed by V")
-            if ch == "V" and w[(i - 1) % n] != "U":
-                raise ValueError(f"V at position {i} of {w!r} is not preceded by U")
-        object.__setattr__(self, "symbols", canonical_rotation(w))
+        least = canonical_rotation(w)
+        if not least.startswith("U") or least.replace("UV", "").strip("W"):
+            raise ValueError(f"{w!r} is not a cycle of UV and W blocks with a UV")
+        object.__setattr__(self, "symbols", least)
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -26,6 +26,7 @@ from heronian.enumeration import (
     triangles_in_perimeter_range,
     triangles_with_perimeter,  # unused here; the benchmark tracer wraps this name
 )
+from heronian.necklace import TRIANGLE_FOR_SYMBOL
 
 __all__ = [
     "GersonidesSolutions",
@@ -54,11 +55,7 @@ DEFICIENT_CANDIDATES = (
     Triangle(3, 25, 26),
     Triangle(3, 865, 866),
 )
-CYCLE_TRIANGLES = (
-    Triangle(9, 12, 15),
-    Triangle(3, 25, 26),
-    Triangle(9, 10, 17),
-)
+CYCLE_TRIANGLES = tuple(TRIANGLE_FOR_SYMBOL.values())  # U, V, W
 
 
 def _normalize(value):
@@ -283,7 +280,7 @@ def check_theorem3(p_max: int, n_max: int) -> TheoremReport:
     """
     bounds = {"p_max": p_max, "n_max": n_max}
     allowed = set(CYCLE_TRIANGLES)
-    must_contain = Triangle(3, 25, 26)
+    must_contain = TRIANGLE_FOR_SYMBOL["V"]
     counts = []
     for n in range(1, n_max + 1):
         cycles = find_cycles(n, p_max)

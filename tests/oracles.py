@@ -1,8 +1,9 @@
 """Independent brute-force oracles the tests check the package against.
 
 Nothing here imports the package's search code paths: areas come from
-the 16*area^2 product form and stdlib math.isqrt, so agreement between
-these scans and the library is meaningful.
+Heron's product (16*area^2 over the sides, s*x*y*z over the gaps) and
+stdlib math.isqrt, so agreement between these scans and the library is
+meaningful.
 """
 
 from __future__ import annotations
@@ -38,6 +39,26 @@ def naive_triangle_scan(p_max: int) -> list[tuple[int, int, int, int]]:
                     out.append((a, b, c, area))
     out.sort()
     return out
+
+
+def perimeter_scan_oracle(p: int) -> list[tuple[int, int, int]]:
+    """Sorted side triples of every Heronian triangle with perimeter p, by
+    scanning the gap triples x <= y <= z with x + y + z = p/2: the O(p^2)
+    loop triangles_with_perimeter used before its kernel identity."""
+    if p < 3 or p % 2:
+        return []
+    s = p // 2
+    found = []
+    for x in range(1, s // 3 + 1):
+        rem = s - x
+        for y in range(x, rem // 2 + 1):
+            z = rem - y
+            v = s * x * y * z
+            r = math.isqrt(v)
+            if r * r == v:
+                found.append((x + y, x + z, y + z))
+    found.sort()
+    return found
 
 
 def words_oracle(n: int) -> set[str]:

@@ -220,6 +220,15 @@ def test_catalog_build_missing_flags(capsys):
     assert code == 2
 
 
+def test_catalog_build_has_no_workers_flag(tmp_path, capsys):
+    path = str(tmp_path / "c.jsonl")
+    code, _, err = run_cli(
+        ["catalog", "build", "--p-max", "10", "--out", path, "--workers", "2"], capsys
+    )
+    assert code == 2
+    assert "unrecognized arguments: --workers 2" in err
+
+
 def test_catalog_build_unwritable_path(capsys):
     code, _, err = run_cli(
         ["catalog", "build", "--p-max", "10", "--out", "/nonexistent/dir/c.jsonl"],

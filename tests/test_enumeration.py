@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import naive_triangle_scan, trial_division_factorize
+from oracles import naive_triangle_scan, perimeter_scan_oracle, trial_division_factorize
 
 from heronian.core import (
     Classification,
@@ -51,6 +51,14 @@ def test_perimeter_matches_naive_scan():
         by_perimeter.setdefault(a + b + c, []).append((a, b, c))
     for p in range(3, 261):
         assert sides(triangles_with_perimeter(p)) == by_perimeter.get(p, [])
+
+
+def test_perimeter_matches_scan_oracle():
+    # every p below 1500, odd and tiny ones included, then a seeded
+    # sample of larger even perimeters
+    sample = random.Random(6).sample(range(3000, 6001, 2), 4)
+    for p in [*range(-4, 1500), *sample]:
+        assert sides(triangles_with_perimeter(p)) == perimeter_scan_oracle(p), p
 
 
 def test_range_join_matches_naive_scan():

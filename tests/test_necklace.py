@@ -20,12 +20,16 @@ def symbols(words):
 def test_word_validation():
     assert CycleWord("UV").symbols == "UV"
     assert CycleWord("VWU").symbols == "UVW"  # canonicalized rotation
+    assert CycleWord("VU").symbols == "UV"  # the pair straddles the cut
     with pytest.raises(ValueError):
         CycleWord("WWW")  # no UV pair
     with pytest.raises(ValueError):
         CycleWord("UW")  # U not followed by V
     with pytest.raises(ValueError):
         CycleWord("UVV")  # second V not preceded by U
+    for bad in ("UVU", "UWV", "VW"):  # last U before U; U before W; no U
+        with pytest.raises(ValueError):
+            CycleWord(bad)
     with pytest.raises(ValueError):
         CycleWord("UVX")
     with pytest.raises(ValueError):
