@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from heronian.core import Classification, Triangle, classify, heron_area
 from heronian.enumeration import (
-    triangles_in_perimeter_range,
+    _kernel_join,
     triangles_with_area,
     triangles_with_perimeter,
 )
@@ -184,12 +184,16 @@ def _cycle_core(p_max: int) -> tuple[tuple[Triangle, ...], dict]:
 
     The vertices come from one area-capped kernel join over perimeters
     0..p_max, which finds every triangle in both bounds at once instead
-    of querying each area up to p_max. Vertices with no successor or no
+    of querying each area up to p_max. The join only probes perimeters
+    that are multiples of 6: a core vertex's perimeter is its
+    predecessor's area, and every Heronian area is a multiple of 6
+    (proof at enumeration._kernel_join), so any other vertex would be
+    trimmed for want of a predecessor. Vertices with no successor or no
     predecessor inside the set are trimmed iteratively; that never
     removes a vertex lying on a closed walk, so walk enumeration over
     the core is complete.
     """
-    vertices = triangles_in_perimeter_range(0, p_max + 1, area_max=p_max)
+    vertices = _kernel_join(0, p_max + 1, p_max, s_step=3)
     by_perimeter: dict[int, list[Triangle]] = {}
     for t in vertices:  # sorted by perimeter, then sides
         by_perimeter.setdefault(t.perimeter, []).append(t)

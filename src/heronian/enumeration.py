@@ -7,19 +7,22 @@ the same squarefree kernel. The perimeter enumerator steps through
 x*y = ker(s*z)*t^2 for each x + y; the range enumerator joins gap pairs
 on their kernels, so all perimeters below P cost O(P^2), and an
 optional area bound caps it, which is how the cycle core gets every
-triangle with perimeter and area <= P. The area enumerator only visits
-divisor pairs of the squared area, so it costs about the divisor count
-of area^2; it factorizes the area by trial division below 1000, then
-Miller-Rabin and Pollard rho, and refuses (ValueError) an area with a
-prime factor the test cannot certify, that is one at or above
-3,317,044,064,679,887,385,961,981. Every enumerator returns a sorted
-list (the range enumerator by perimeter first, the others
-lexicographically), so output is deterministic.
+triangle with perimeter and area <= P. Every Heronian area is a
+multiple of 6, so the cycle core's join probes only perimeters that are
+multiples of 6 and the area enumerator answers any other area with []
+at once. The area enumerator only visits divisor pairs of the squared
+area, so it costs about the divisor count of area^2; it factorizes the
+area by trial division below 1000, then Miller-Rabin and Pollard rho,
+and refuses (ValueError) an area with a prime factor the test cannot
+certify, that is one at or above 3,317,044,064,679,887,385,961,981.
+Every enumerator returns a sorted list (the range enumerator by
+perimeter first, the others lexicographically), so output is
+deterministic.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from bisect import bisect_right
 from math import gcd
 
 from heronian.core import (
@@ -111,6 +114,26 @@ def triangles_in_perimeter_range(
     as u grows, so the scan ends once it falls below ceil(u/2), the
     smallest z any u allows; each hit's area is then checked exactly.
     """
+    return _kernel_join(lo, hi, area_max)
+
+
+def _kernel_join(
+    lo: int, hi: int, area_max: int | None, s_step: int = 1
+) -> list[Triangle]:
+    """triangles_in_perimeter_range, restricted to semiperimeters s that
+    are multiples of s_step: each u probes only the z with s_step | u + z.
+
+    The cycle core passes s_step = 3. A core vertex's perimeter is the
+    area of its predecessor, and every Heronian area A is a multiple of
+    6, so its semiperimeter is a multiple of 3. Proof, with
+    A^2 = s*x*y*z and s = x + y + z:
+    - mod 3: gaps = (1,1,2) or (1,2,2) (mod 3), in any order, give
+      s*x*y*z = 2 (mod 3), which is not a square; every other residue
+      pattern puts a factor of 3 in s, x, y or z; so 3 | A^2, so 3 | A;
+    - mod 4: if A were odd, s, x, y and z would all be odd, and every
+      choice of x, y, z = +-1 (mod 4) gives s*x*y*z = 3 (mod 4), which
+      is not a square; so 2 | A.
+    """
     s_lo, s_hi = (lo + 1) // 2, (hi + 1) // 2  # lo <= 2s < hi
     if s_hi <= s_lo or (area_max is not None and area_max < 1):
         return []
@@ -129,13 +152,14 @@ def triangles_in_perimeter_range(
             if z_cap < (u + 1) // 2:
                 break
             z_hi = min(z_hi, z_cap + 1)
+        z_lo += -(u + z_lo) % s_step  # first z with s_step | u + z
         if z_lo < z_hi:
             pairs: dict[int, list[int]] = {}
             for x in range(1, u // 2 + 1):
                 kx, ky = ker[x], ker[u - x]
                 g = gcd(kx, ky)
                 pairs.setdefault(kx * ky // (g * g), []).append(x)
-            for z in range(z_lo, z_hi):
+            for z in range(z_lo, z_hi, s_step):
                 kz, ks = ker[z], ker[u + z]
                 g = gcd(kz, ks)
                 xs = pairs.get(kz * ks // (g * g))
@@ -258,19 +282,23 @@ def _divisors(factors: dict[int, int]) -> list[int]:
 def triangles_with_area(area: int) -> list[Triangle]:
     """All Heronian triangles with exactly the given area, sorted.
 
+    Every Heronian area is a multiple of 6 (proof at _kernel_join), so
+    any other area gets [] at once, before factorizing.
+
     Divisor-triple search: for each divisor pair (x, y) of area^2 the
     remaining gap must solve z^2 + (x+y)z - area^2/(x*y) = 0, so z
     exists exactly when the discriminant is a perfect square and the
     positive root is an integer >= y. The loop bounds come from
     s*x*y*z = area^2 with x <= y <= z: x satisfies 3*x^4 <= area^2 and
     y satisfies x*y*y*(x + 2*y) <= area^2, so the scan is finite and
-    provably complete.
+    provably complete. That y bound is increasing in y, so it is found
+    once per x, by bisecting the sorted divisors.
 
     Raises ValueError if the area has a prime factor at or above
     3,317,044,064,679,887,385,961,981, which _factorize cannot prove
     prime.
     """
-    if area < 1:
+    if area < 1 or area % 6:
         return []
     a2 = area * area
     # divisors of area^2, from the factorization of area with doubled exponents
@@ -280,9 +308,8 @@ def triangles_with_area(area: int) -> list[Triangle]:
         if 3 * x**4 > a2:
             break
         rest = a2 // x
-        for y in islice(divisors, i, None):  # y >= x
-            if x * y * y * (x + 2 * y) > a2:
-                break
+        j = bisect_right(divisors, a2, i, key=lambda y: x * y * y * (x + 2 * y))
+        for y in divisors[i:j]:  # x <= y, x*y*y*(x + 2*y) <= a2
             if rest % y:
                 continue
             target = rest // y  # z * (z + x + y) must equal this

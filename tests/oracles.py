@@ -61,6 +61,40 @@ def perimeter_scan_oracle(p: int) -> list[tuple[int, int, int]]:
     return found
 
 
+def area_divisor_oracle(area: int) -> list[tuple[int, int, int]]:
+    """Sorted side triples of every Heronian triangle with the given area,
+    by the divisor-pair loop triangles_with_area used before it skipped
+    areas that are not multiples of 6 and bisected its y bound: every
+    divisor pair x <= y of area^2 with 3*x^4 <= area^2, tested pair by
+    pair against x*y*y*(x + 2*y) <= area^2, the last gap z solving
+    z*(z + x + y) = area^2/(x*y)."""
+    if area < 1:
+        return []
+    a2 = area * area
+    divisors = [1]
+    for p, e in trial_division_factorize(area).items():
+        divisors = [d * p**k for d in divisors for k in range(2 * e + 1)]
+    divisors.sort()
+    found = []
+    for i, x in enumerate(divisors):
+        if 3 * x**4 > a2:
+            break
+        for y in divisors[i:]:
+            if x * y * y * (x + 2 * y) > a2:
+                break
+            if a2 % (x * y):
+                continue
+            disc = (x + y) * (x + y) + 4 * (a2 // (x * y))
+            root = math.isqrt(disc)
+            if root * root != disc or (root - x - y) % 2:
+                continue
+            z = (root - x - y) // 2
+            if z >= y:
+                found.append((x + y, x + z, y + z))
+    found.sort()
+    return found
+
+
 def words_oracle(n: int) -> set[str]:
     """All valid cycle words of length n, one canonical rotation each,
     by filtering all 3^n raw words."""

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from oracles import naive_integer_area
+
 import heronian.cli as cli
 from heronian.catalog import Catalog, build, save
 
@@ -47,11 +49,37 @@ def test_enumerate_area_large_prime_answers_quickly():
 
 
 def test_enumerate_area_refuses_uncertifiable_prime(capsys):
-    code, out, err = run_cli(["enumerate", "--area", str(2**89 - 1)], capsys)
+    code, out, err = run_cli(["enumerate", "--area", str(6 * (2**89 - 1))], capsys)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "3317044064679887385961981" in err
+
+
+def test_enumerate_area_not_a_multiple_of_6_is_empty(capsys):
+    # 2^89 - 1 is a prime beyond the primality certificate, but it is odd,
+    # so it is no Heronian area and needs no factorizing
+    code, out, err = run_cli(
+        ["enumerate", "--area", str(2**89 - 1), "--format", "json"], capsys)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out) == {"query": {"area": 2**89 - 1}, "triangles": []}
+
+
+def test_enumerate_large_perimeter_answers_within_time_limit():
+    proc = subprocess.run(
+        [sys.executable, "-m", "heronian", "enumerate", "--perimeter", "100000",
+         "--format", "json"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    rows = json.loads(proc.stdout)["triangles"]
+    assert len(rows) > 1000
+    triples = [(r["a"], r["b"], r["c"]) for r in rows]
+    assert triples == sorted(set(triples))
+    for r in rows[::50]:
+        assert r["a"] + r["b"] + r["c"] == r["perimeter"] == 100000
+        assert naive_integer_area(r["a"], r["b"], r["c"]) == r["area"]
 
 
 def test_enumerate_csv(capsys):

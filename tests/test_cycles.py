@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import area_divisor_oracle
+
 from heronian.core import Classification, Triangle, classify, heron_area
 from heronian.cycles import (
     ChainDirection,
@@ -200,11 +202,11 @@ def test_successor_membership_matches_enumerators():
 
 
 def per_area_core(p_max):
-    """The recurrent core as built before the capped join: one area query
-    per area up to p_max, then the greatest subset in which every vertex
+    """The recurrent core as built before the capped join: one oracle area
+    query per area up to p_max, then the greatest subset in which every vertex
     has a successor and a predecessor."""
-    alive = {t for area in range(1, p_max + 1) for t in triangles_with_area(area)
-             if t.perimeter <= p_max}
+    alive = {Triangle(*abc) for area in range(1, p_max + 1)
+             for abc in area_divisor_oracle(area) if sum(abc) <= p_max}
     while True:
         perimeters = {t.perimeter for t in alive}
         areas = {heron_area(t) for t in alive}
@@ -217,7 +219,7 @@ def per_area_core(p_max):
     return tuple(sorted(alive)), succ
 
 
-@pytest.mark.parametrize("p_max", [1, 35, 36, 100, 999, 2000, 4750])
+@pytest.mark.parametrize("p_max", [1, 35, 36, 100, 999, 1732, 2000, 4750])
 def test_cycle_core_matches_per_area_core(p_max):
     _cycle_core.cache_clear()
     assert _cycle_core(p_max) == per_area_core(p_max)

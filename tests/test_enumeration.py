@@ -1,8 +1,15 @@
+import math
 import random
 
 import pytest
 
-from oracles import naive_triangle_scan, perimeter_scan_oracle, trial_division_factorize
+from oracles import (
+    area_divisor_oracle,
+    naive_integer_area,
+    naive_triangle_scan,
+    perimeter_scan_oracle,
+    trial_division_factorize,
+)
 
 from heronian.core import (
     Classification,
@@ -15,6 +22,7 @@ from heronian.core import (
 from heronian.enumeration import (
     _MR_CERTIFIED_BELOW,
     _factorize,
+    _kernel_join,
     area_perimeter_bound,
     deficient_triangles,
     equable_triangles,
@@ -97,12 +105,17 @@ def test_capped_range_join_matches_naive_scan():
             got = [(t.perimeter, *t.sides)
                    for t in triangles_in_perimeter_range(lo, hi, area_max=area_max)]
             assert got == expected, (lo, hi, area_max)
+            # the cycle core's join probes only semiperimeters divisible by 3
+            got = [(t.perimeter, *t.sides)
+                   for t in _kernel_join(lo, hi, area_max, s_step=3)]
+            assert got == [e for e in expected if e[0] % 6 == 0], (lo, hi, area_max)
 
 
 def per_area_vertices(p_max):
-    """Triangles with perimeter and area <= p_max, one area query at a time."""
-    return {t for area in range(1, p_max + 1) for t in triangles_with_area(area)
-            if t.perimeter <= p_max}
+    """Triangles with perimeter and area <= p_max, one oracle area query at
+    a time."""
+    return {Triangle(*abc) for area in range(1, p_max + 1)
+            for abc in area_divisor_oracle(area) if sum(abc) <= p_max}
 
 
 @pytest.mark.parametrize("p_max", [1, 35, 36, 100, 999, 2000, 4750])
@@ -170,8 +183,11 @@ def test_factorize_refuses_an_uncertifiable_prime():
     for n in (2**89 - 1, _MR_CERTIFIED_BELOW, 6 * (2**89 - 1)):
         with pytest.raises(ValueError, match=str(_MR_CERTIFIED_BELOW)):
             _factorize(n)
-        with pytest.raises(ValueError):
-            triangles_with_area(n)
+    # both are odd, so no triangle has them as area: answered unfactorized
+    for n in (2**89 - 1, _MR_CERTIFIED_BELOW):
+        assert triangles_with_area(n) == []
+        with pytest.raises(ValueError, match=str(_MR_CERTIFIED_BELOW)):
+            triangles_with_area(6 * n)
 
 
 def test_area_known_values():
@@ -189,16 +205,54 @@ def test_area_results_have_that_area():
 
 
 def test_area_matches_perimeter_enumeration_small():
-    # Independent route: collect triangles from the perimeter enumerator
-    # over every even perimeter up to the provable bound 2*area^2, then
-    # filter by area. Full cross-oracle is affordable for areas <= 16.
-    a_max = 16
+    # Independent route: collect every triangle up to the provable
+    # perimeter bound 2*area^2 from one range enumeration, then filter
+    # by area.
+    a_max = 40
     by_area = {}
-    for p in range(4, area_perimeter_bound(a_max) + 1, 2):
-        for t in triangles_with_perimeter(p):
-            by_area.setdefault(heron_area(t), []).append(t)
+    for t in triangles_in_perimeter_range(4, area_perimeter_bound(a_max) + 1):
+        by_area.setdefault(heron_area(t), []).append(t)
     for area in range(1, a_max + 1):
         assert triangles_with_area(area) == sorted(by_area.get(area, []))
+
+
+def test_every_heronian_area_is_a_multiple_of_6():
+    # the premise that lets triangles_with_area and the cycle core skip
+    # every other area
+    assert all(area % 6 == 0 for *_, area in naive_triangle_scan(200))
+    triangles = triangles_in_perimeter_range(0, 3001)
+    assert len(triangles) > 1000
+    assert all(naive_integer_area(*t.sides) % 6 == 0 for t in triangles)
+
+
+def _smooth_areas(count, limit, seed):
+    """Seeded products of primes <= 13 below limit, log-uniform in size."""
+    rng = random.Random(seed)
+    areas = []
+    for _ in range(count):
+        cap, n = 10 ** rng.uniform(2, math.log10(limit)), 1
+        while True:
+            p = rng.choice((2, 3, 5, 7, 11, 13))
+            if n * p > cap:
+                break
+            n *= p
+        areas.append(n)
+    return areas
+
+
+@pytest.mark.parametrize(
+    "areas",
+    [
+        range(1, 501),
+        _smooth_areas(30, 10**8, seed=6),
+        # the slowest area queries seen in the query-mix benchmark
+        [3926677979280, 2129436760360],
+    ],
+    ids=["1-500", "smooth", "smooth-tail"],
+)
+def test_area_matches_divisor_oracle(areas):
+    for area in areas:
+        assert sides(triangles_with_area(area)) == area_divisor_oracle(area), area
 
 
 def test_area_and_perimeter_enumerators_agree_bidirectionally():
