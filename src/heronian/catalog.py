@@ -15,8 +15,8 @@ from datetime import datetime, timezone
 
 from heronian.core import Classification, Triangle, heron_area
 from heronian.enumeration import (
+    _kernel_join,
     area_perimeter_bound,
-    triangles_in_perimeter_range,
     triangles_with_perimeter,  # unused here; the benchmark tracer wraps this name
 )
 
@@ -57,7 +57,7 @@ class CatalogRecord:
 
     @classmethod
     def from_triangle(cls, t: Triangle) -> CatalogRecord:
-        # uncached, so that building a catalog does not fill heron_area's cache
+        # uncached, so that rendering query results does not fill heron_area's cache
         area = heron_area.__wrapped__(t)
         if area is None:
             raise ValueError(f"{t} is not Heronian")
@@ -73,6 +73,8 @@ class CatalogRecord:
 
 
 RECORD_FIELDS = tuple(f.name for f in fields(CatalogRecord))
+_RECORD_LINE = (
+    '{"a":%d,"b":%d,"c":%d,"perimeter":%d,"area":%d,"classification":"%s"}\n')
 
 
 @dataclass
@@ -124,8 +126,17 @@ class Catalog:
 
 
 def _records_for_range(bounds: tuple[int, int]) -> list[CatalogRecord]:
-    """Records for perimeters in [start, stop); a parallel work unit."""
-    return [CatalogRecord.from_triangle(t) for t in triangles_in_perimeter_range(*bounds)]
+    """Records for perimeters in [start, stop); a parallel work unit.
+
+    Read straight from the join's rows, which carry the exact area, so
+    no Triangle is built and heron_area's cache is left alone.
+    """
+    records = []
+    for s, x, y, z, area in _kernel_join(*bounds, None):
+        p = 2 * s
+        records.append(CatalogRecord(x + y, x + z, y + z, p, area,
+                                     Classification.compare(area, p).value))
+    return records
 
 
 def build(p_max: int, workers: int = 1) -> Catalog:
@@ -155,11 +166,16 @@ def build(p_max: int, workers: int = 1) -> Catalog:
 
 
 def save(cat: Catalog, path) -> None:
-    """Write a catalog as JSON Lines (header line, then one record per line)."""
+    """Write a catalog as JSON Lines (header line, then one record per line).
+
+    Each record line is one format string, with the same bytes as
+    json.dumps(r.row(), separators=(",", ":")) for integer fields and a
+    Classification value.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(cat.header(), separators=(",", ":")) + "\n")
-        for r in cat.records:
-            fh.write(json.dumps(r.row(), separators=(",", ":")) + "\n")
+        fh.writelines(_RECORD_LINE % (r.a, r.b, r.c, r.perimeter, r.area, r.classification)
+                      for r in cat.records)
 
 
 def _decoded_lines(fh):

@@ -188,19 +188,23 @@ def _cycle_core(p_max: int) -> tuple[tuple[Triangle, ...], dict]:
     that are multiples of 6: a core vertex's perimeter is its
     predecessor's area, and every Heronian area is a multiple of 6
     (proof at enumeration._kernel_join), so any other vertex would be
-    trimmed for want of a predecessor. Vertices with no successor or no
+    trimmed for want of a predecessor. Each join row carries its exact
+    area, which names the vertex's successors without heron_area, so a
+    core build leaves that cache alone. Vertices with no successor or no
     predecessor inside the set are trimmed iteratively; that never
     removes a vertex lying on a closed walk, so walk enumeration over
     the core is complete.
     """
-    vertices = _kernel_join(0, p_max + 1, p_max, s_step=3)
+    areas: dict[Triangle, int] = {}
     by_perimeter: dict[int, list[Triangle]] = {}
-    for t in vertices:  # sorted by perimeter, then sides
-        by_perimeter.setdefault(t.perimeter, []).append(t)
+    for s, x, y, z, area in _kernel_join(0, p_max + 1, p_max, s_step=3):
+        t = Triangle(x + y, x + z, y + z)  # rows come sorted by perimeter, then sides
+        areas[t] = area
+        by_perimeter.setdefault(2 * s, []).append(t)
 
-    succ_of = {t: by_perimeter.get(heron_area(t), ()) for t in vertices}
+    succ_of = {t: by_perimeter.get(area, ()) for t, area in areas.items()}
 
-    alive = set(vertices)
+    alive = set(succ_of)
     while True:
         has_succ = {t for t in alive if any(u in alive for u in succ_of[t])}
         with_preds: set[Triangle] = set()

@@ -4,10 +4,15 @@ All searches run in the gap coordinates (x, y, z) with x <= y <= z: a
 triangle with semiperimeter s = x + y + z has sides (x+y, x+z, y+z) and
 squared area s*x*y*z, which is a square exactly when x*y and s*z have
 the same squarefree kernel. The perimeter enumerator steps through
-x*y = ker(s*z)*t^2 for each x + y; the range enumerator joins gap pairs
-on their kernels, so all perimeters below P cost O(P^2), and an
-optional area bound caps it, which is how the cycle core gets every
-triangle with perimeter and area <= P. Every Heronian area is a
+x*y = ker(s*z)*t^2 for each x + y. The range enumerator joins gap pairs
+on a parity hash of their kernels, the XOR of one fixed word per prime
+with an odd exponent: a square product has equal hashes on both sides,
+so the join misses nothing, and every match is confirmed by an exact
+square root, so a hash collision never reaches the output. All
+perimeters below P cost O(P^2), and an optional area bound caps it,
+which is how the cycle core gets every triangle with perimeter and
+area <= P. The join hands the catalog, lemma2 and the cycle core rows
+(s, x, y, z, area), so they re-derive nothing. Every Heronian area is a
 multiple of 6, so the cycle core's join probes only perimeters that are
 multiples of 6 and the area enumerator answers any other area with []
 at once. The area enumerator only visits divisor pairs of the squared
@@ -101,32 +106,79 @@ def triangles_in_perimeter_range(
     """All Heronian triangles with lo <= perimeter < hi, sorted by
     (perimeter, a, b, c); with area_max, only those of area <= area_max.
 
-    Squarefree-kernel join, O(P^2) for the whole range. The
-    squarefree kernel ker(m) is m with every square factor divided out,
-    so m*n is a square exactly when ker(m) == ker(n). With u = x + y the
-    squared area is (x*y) * (z*(u+z)); for each u the pairs
-    x <= y = u - x are grouped by ker(x*y), then every z in range probes
-    that table, and a pair matches z only if y <= z. The kernel of a
-    product comes from the factors': ker(m*n) = km*kn / gcd(km, kn)^2.
+    The Triangles of _kernel_join's rows, O(P^2) for the whole range:
+    complete because every triangle's probe matches its pair's parity
+    hash, exact because each match is kept only if s*x*y*z is a perfect
+    square (see _kernel_join).
+    """
+    return [Triangle(x + y, x + z, y + z) for _, x, y, z, _ in _kernel_join(lo, hi, area_max)]
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _prime_word(p: int) -> int:
+    """A fixed 60-bit word for the prime p: the top bits of the splitmix64
+    finalizer of p, so the same on every run and every platform."""
+    z = (p * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) >> 4
+
+
+def _parity_hashes(n: int) -> list[int]:
+    """h[m] = XOR of _prime_word(p) over the primes p with an odd exponent
+    in m, for 0 <= m <= n (h[0] = h[1] = 0).
+
+    Each prime power q = p^k <= n flips p's word in every multiple of q,
+    so m gets it once per factor of p. Hence h[m*n] = h[m] ^ h[n] and
+    h[k*k] = 0: if m*n is a square then h[m] == h[n]. The converse can
+    fail (two kernels whose words XOR alike), which only costs a check.
+    """
+    h = [0] * (n + 1)
+    composite = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\1" * len(range(p * p, n + 1, p))
+        w = _prime_word(p)
+        q = p
+        while q <= n:
+            for m in range(q, n + 1, q):
+                h[m] ^= w
+            q *= p
+    return h
+
+
+def _kernel_join(
+    lo: int, hi: int, area_max: int | None, s_step: int = 1
+) -> list[tuple[int, int, int, int, int]]:
+    """Rows (s, x, y, z, area) of the Heronian triangles with
+    lo <= 2s < hi, area <= area_max (when given) and s_step | s, in gap
+    coordinates x <= y <= z, sorted by (perimeter, a, b, c); the sides
+    are (x+y, x+z, y+z).
+
+    With u = x + y the squared area is (x*y) * (z*(u+z)), a square
+    exactly when the two factors have the same squarefree kernel. For
+    each u the pairs x <= y = u - x are grouped by the parity hash of
+    x*y (_parity_hashes), and every z in range probes that table with
+    the hash of z*(u+z); a pair matches z only if y <= z.
+    - Complete: a square product has every prime to an even power, so
+      its two factors have equal hashes and the probe finds the pair.
+    - Exact: a probe that matches is kept only if s*x*y*z passes
+      perfect_square_root, whose root is the area; a hash collision
+      costs one test and never reaches the output.
 
     The area bound caps z once per u: x*y >= u - 1, so a triangle of
     area <= area_max has (u-1)*z*(u+z) <= area_max^2. That cap shrinks
     as u grows, so the scan ends once it falls below ceil(u/2), the
     smallest z any u allows; each hit's area is then checked exactly.
-    """
-    return _kernel_join(lo, hi, area_max)
 
-
-def _kernel_join(
-    lo: int, hi: int, area_max: int | None, s_step: int = 1
-) -> list[Triangle]:
-    """triangles_in_perimeter_range, restricted to semiperimeters s that
-    are multiples of s_step: each u probes only the z with s_step | u + z.
-
-    The cycle core passes s_step = 3. A core vertex's perimeter is the
-    area of its predecessor, and every Heronian area A is a multiple of
-    6, so its semiperimeter is a multiple of 3. Proof, with
-    A^2 = s*x*y*z and s = x + y + z:
+    The cycle core passes s_step = 3, and each u probes only the z with
+    s_step | u + z. A core vertex's perimeter is the area of its
+    predecessor, and every Heronian area A is a multiple of 6, so its
+    semiperimeter is a multiple of 3. Proof, with A^2 = s*x*y*z and
+    s = x + y + z:
     - mod 3: gaps = (1,1,2) or (1,2,2) (mod 3), in any order, give
       s*x*y*z = 2 (mod 3), which is not a square; every other residue
       pattern puts a factor of 3 in s, x, y or z; so 3 | A^2, so 3 | A;
@@ -138,9 +190,11 @@ def _kernel_join(
     if s_hi <= s_lo or (area_max is not None and area_max < 1):
         return []
     a2 = None if area_max is None else area_max * area_max
-    ker = _squarefree_kernels(s_hi)
-    # one packed int per hit: (s, a, b) in base K = s_hi, as a, b < s < s_hi
+    h = _parity_hashes(s_hi)
+    # one packed int per hit, (s, u, x) in base K = s_hi and then the area
+    # in base K^2: u, x < s < K and area <= s^2 / sqrt(27) < K^2
     K = s_hi
+    K2 = K * K
     keys = []
     u = 2
     while u + (u + 1) // 2 < s_hi:  # smallest s for this u is u + ceil(u/2)
@@ -156,26 +210,28 @@ def _kernel_join(
         if z_lo < z_hi:
             pairs: dict[int, list[int]] = {}
             for x in range(1, u // 2 + 1):
-                kx, ky = ker[x], ker[u - x]
-                g = gcd(kx, ky)
-                pairs.setdefault(kx * ky // (g * g), []).append(x)
+                pairs.setdefault(h[x] ^ h[u - x], []).append(x)
             for z in range(z_lo, z_hi, s_step):
-                kz, ks = ker[z], ker[u + z]
-                g = gcd(kz, ks)
-                xs = pairs.get(kz * ks // (g * g))
+                xs = pairs.get(h[z] ^ h[u + z])
                 if xs:
                     s = u + z
                     for x in xs:
-                        if u - x <= z and (a2 is None or s * x * (u - x) * z <= a2):
-                            keys.append((s * K + u) * K + x + z)
+                        if u - x > z:
+                            continue
+                        sq = s * x * (u - x) * z
+                        if a2 is not None and sq > a2:
+                            continue
+                        area = perfect_square_root(sq)
+                        if area is not None:
+                            keys.append(((s * K + u) * K + x) * K2 + area)
         u += 1
-    keys.sort()
-    found = []
-    for key in keys:
-        sa, b = divmod(key, K)
-        s, a = divmod(sa, K)
-        found.append(Triangle(a, b, 2 * s - a - b))
-    return found
+    keys.sort()  # by (s, a = u, b = x + z), as z = s - u
+    for i, key in enumerate(keys):  # rows replace keys, so both lists never coexist
+        rest, area = divmod(key, K2)
+        su, x = divmod(rest, K)
+        s, u = divmod(su, K)
+        keys[i] = (s, x, u - x, s - u, area)
+    return keys
 
 
 # Miller-Rabin with the prime bases up to 41 has no strong pseudoprime

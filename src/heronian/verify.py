@@ -21,9 +21,9 @@ from heronian.core import (
 )
 from heronian.cycles import find_cycles
 from heronian.enumeration import (
+    _kernel_join,
     deficient_triangles,
     equable_triangles,
-    triangles_in_perimeter_range,
     triangles_with_perimeter,  # unused here; the benchmark tracer wraps this name
 )
 from heronian.necklace import TRIANGLE_FOR_SYMBOL
@@ -116,19 +116,16 @@ def check_lemma2(p_max: int) -> TheoremReport:
     """
     bounds = {"p_max": p_max}
     checked = even_area = 0
-    for t in triangles_in_perimeter_range(6, p_max + 1):
+    # the join's rows carry the gaps and the exact area, so no Triangle is
+    # built and heron_area's cache is left alone
+    for s, x, y, z, area in _kernel_join(6, p_max + 1, None):
         checked += 1
-        # uncached, so that the census does not fill heron_area's cache
-        area = heron_area.__wrapped__(t)
-        assert area is not None
         if area % 2:
             continue
         even_area += 1
-        p = t.perimeter
-        d = decompose(t)
-        xyz = d.x * d.y * d.z
+        p, xyz = 2 * s, x * y * z
         if xyz % 2 or (area * area) % p or (area * area) // p != xyz // 2:
-            witness = _triangle_witness(t)
+            witness = _triangle_witness(Triangle(x + y, x + z, y + z))
             witness["area_squared_over_perimeter_integral"] = (area * area) % p == 0
             return TheoremReport("lemma2", bounds, VERDICT_COUNTEREXAMPLE, [witness])
     summary = {"triangles_checked": checked, "even_area_checked": even_area}

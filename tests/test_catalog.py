@@ -190,6 +190,9 @@ def test_deterministic_bytes(tmp_path):
         return [json.dumps(header, separators=(",", ":"))] + lines[1:]
 
     assert normalized(p1) == normalized(p2)
+    # save's format string writes the bytes json.dumps would
+    records = [json.dumps(r.row(), separators=(",", ":")) for r in build(200).records]
+    assert p1.read_text().splitlines()[1:] == records
 
 
 def test_query_by_perimeter():

@@ -37,15 +37,18 @@ def test_enumerate_empty_result_is_success(capsys):
 
 
 def test_enumerate_area_large_prime_answers_quickly():
-    # trial division used to run to about 10^9 on this prime
-    proc = subprocess.run(
-        [sys.executable, "-m", "heronian", "enumerate", "--area",
-         "1000000000000000003", "--format", "json"],
-        capture_output=True, text=True, timeout=30,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout) == {
-        "query": {"area": 1000000000000000003}, "triangles": []}
+    # multiples of 6, so they pass the 6 | area test and get factorized:
+    # 6 * (10^18 + 3) leaves a prime cofactor for Miller-Rabin, and
+    # 6 * 1000000007 * 1000000009 a semiprime for Pollard rho; trial
+    # division alone would run to about 10^9
+    for area in (6000000000000000018, 6000000096000000378):
+        proc = subprocess.run(
+            [sys.executable, "-m", "heronian", "enumerate", "--area", str(area),
+             "--format", "json"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"query": {"area": area}, "triangles": []}
 
 
 def test_enumerate_area_refuses_uncertifiable_prime(capsys):

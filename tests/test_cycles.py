@@ -223,3 +223,11 @@ def per_area_core(p_max):
 def test_cycle_core_matches_per_area_core(p_max):
     _cycle_core.cache_clear()
     assert _cycle_core(p_max) == per_area_core(p_max)
+
+
+def test_cold_core_leaves_heron_area_cache_alone():
+    # the join's rows carry each vertex's area, so the core needs no heron_area
+    _cycle_core.cache_clear()
+    before = heron_area.cache_info().currsize
+    _cycle_core(2000)
+    assert heron_area.cache_info().currsize == before

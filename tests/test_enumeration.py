@@ -11,6 +11,7 @@ from oracles import (
     trial_division_factorize,
 )
 
+from heronian import enumeration
 from heronian.core import (
     Classification,
     Triangle,
@@ -23,6 +24,7 @@ from heronian.enumeration import (
     _MR_CERTIFIED_BELOW,
     _factorize,
     _kernel_join,
+    _parity_hashes,
     area_perimeter_bound,
     deficient_triangles,
     equable_triangles,
@@ -96,19 +98,66 @@ def test_range_join_splits_into_adjacent_subranges():
         assert parts == whole, cuts
 
 
-def test_capped_range_join_matches_naive_scan():
-    scan = sorted((a + b + c, a, b, c, area) for a, b, c, area in naive_triangle_scan(200))
-    for area_max in (-3, 0, 1, 5, 6, 24, 36, 60, 84, 150, 336, 1000, 1680, 10**6):
-        for lo, hi in ((0, 201), (1, 201), (13, 100), (37, 55), (100, 201), (150, 151)):
-            expected = [(p, a, b, c) for p, a, b, c, area in scan
-                        if lo <= p < hi and area <= area_max]
-            got = [(t.perimeter, *t.sides)
-                   for t in triangles_in_perimeter_range(lo, hi, area_max=area_max)]
-            assert got == expected, (lo, hi, area_max)
+CAPPED_JOIN_AREA_MAXES = (-3, 0, 1, 5, 6, 24, 36, 60, 84, 150, 336, 1000, 1680, 10**6)
+CAPPED_JOIN_RANGES = ((0, 201), (1, 201), (13, 100), (37, 55), (100, 201), (150, 151))
+
+
+# (s, x, y, z, area) of the naive scan, sorted by (perimeter, a, b, c)
+NAIVE_ROWS_200 = [
+    ((a + b + c) // 2, (a + b - c) // 2, (a + c - b) // 2, (b + c - a) // 2, area)
+    for _, a, b, c, area in sorted((a + b + c, a, b, c, area)
+                                   for a, b, c, area in naive_triangle_scan(200))]
+
+
+def naive_join_rows(lo, hi, area_max, s_step):
+    """The naive scan's rows as _kernel_join(lo, hi, area_max, s_step) should return them."""
+    return [row for row in NAIVE_ROWS_200
+            if lo <= 2 * row[0] < hi and row[4] <= area_max and row[0] % s_step == 0]
+
+
+def assert_join_matches_naive_scan():
+    for area_max in CAPPED_JOIN_AREA_MAXES:
+        for lo, hi in CAPPED_JOIN_RANGES:
             # the cycle core's join probes only semiperimeters divisible by 3
-            got = [(t.perimeter, *t.sides)
-                   for t in _kernel_join(lo, hi, area_max, s_step=3)]
-            assert got == [e for e in expected if e[0] % 6 == 0], (lo, hi, area_max)
+            for s_step in (1, 3):
+                rows = _kernel_join(lo, hi, area_max, s_step=s_step)
+                assert rows == naive_join_rows(lo, hi, area_max, s_step), (lo, hi, area_max)
+                for s, x, y, z, area in rows:
+                    assert naive_integer_area(x + y, x + z, y + z) == area
+
+
+def test_capped_range_join_matches_naive_scan():
+    assert_join_matches_naive_scan()
+    for area_max in CAPPED_JOIN_AREA_MAXES:
+        for lo, hi in CAPPED_JOIN_RANGES:
+            expected = [(x + y, x + z, y + z)
+                        for _, x, y, z, _ in naive_join_rows(lo, hi, area_max, 1)]
+            got = triangles_in_perimeter_range(lo, hi, area_max=area_max)
+            assert sides(got) == expected, (lo, hi, area_max)
+
+
+def test_join_soundness_rests_on_the_exact_check(monkeypatch):
+    # with every parity hash 0, every probe matches every pair, so only the
+    # perfect-square test separates triangles from the rest
+    monkeypatch.setattr(enumeration, "_parity_hashes", lambda n: [0] * (n + 1))
+    assert_join_matches_naive_scan()
+    assert _kernel_join(0, 201, None) == naive_join_rows(0, 201, 10**6, 1)
+
+
+def test_parity_hash_matches_square_products():
+    # the premise of the join's completeness: a*b*c*d square => equal hashes
+    h = _parity_hashes(60 * 60 * 3 * 3)
+    rng = random.Random(8)
+    for _ in range(2000):
+        p, q, r, t = (rng.randint(1, 60) for _ in range(4))
+        i, j, k, m = (rng.randint(1, 3) for _ in range(4))
+        a, b, c, d = p * q * i * i, r * t * j * j, p * r * k * k, q * t * m * m
+        assert math.isqrt(a * b * c * d) ** 2 == a * b * c * d
+        assert h[a] ^ h[b] == h[c] ^ h[d], (a, b, c, d)
+    assert h[0] == h[1] == 0
+    assert all(h[k * k] == 0 for k in range(1, 142))
+    words = {h[p] for p in (2, 3, 5, 7, 11, 13, 19997)}
+    assert len(words) == 7 and 0 not in words and max(words) < 2**60
 
 
 def per_area_vertices(p_max):
