@@ -9,9 +9,10 @@ the header timestamp, so catalogs diff cleanly.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+import re
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from heronian.core import Classification, Triangle, heron_area
 from heronian.enumeration import (
@@ -46,8 +47,7 @@ class CatalogVersionError(CatalogFormatError):
     """Raised when a catalog file's format version is unsupported."""
 
 
-@dataclass(frozen=True, order=True)
-class CatalogRecord:
+class CatalogRecord(NamedTuple):
     a: int
     b: int
     c: int
@@ -69,12 +69,23 @@ class CatalogRecord:
 
     def row(self) -> dict:
         """The record as a JSON object, keys in RECORD_FIELDS order."""
-        return {name: getattr(self, name) for name in RECORD_FIELDS}
+        return self._asdict()
 
 
-RECORD_FIELDS = tuple(f.name for f in fields(CatalogRecord))
+RECORD_FIELDS = CatalogRecord._fields
 _RECORD_LINE = (
     '{"a":%d,"b":%d,"c":%d,"perimeter":%d,"area":%d,"classification":"%s"}\n')
+# _RECORD_LINE as a bytes pattern: each %d becomes [1-9][0-9]* of at most
+# 100 digits, far below the int/str digit limit (640 at its lowest
+# setting), and %s one of the three classifications. Why a match parses
+# exactly as json.loads would: see load.
+_CLASSIFICATIONS = {c.value.encode(): c.value for c in Classification}
+_CANONICAL_RECORD = re.compile(
+    re.escape(_RECORD_LINE.rstrip("\n").encode())
+    .replace(b"%d", rb"([1-9][0-9]{0,99})")
+    .replace(b"%s", b"(" + b"|".join(_CLASSIFICATIONS) + b")")
+    + rb"\n?"
+)
 
 
 @dataclass
@@ -158,6 +169,8 @@ def build(p_max: int, workers: int = 1) -> Catalog:
         step = max(2, (p_max // workers + 1) & ~1)
         chunks = [(lo, min(lo + step, p_max + 1)) for lo in range(1, p_max + 1, step)]
         records = []
+        # imported here so that only a pooled build pays for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_records_for_range, chunks):
                 records.extend(part)
@@ -174,17 +187,14 @@ def save(cat: Catalog, path) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(cat.header(), separators=(",", ":")) + "\n")
-        fh.writelines(_RECORD_LINE % (r.a, r.b, r.c, r.perimeter, r.area, r.classification)
-                      for r in cat.records)
+        fh.writelines(_RECORD_LINE % r for r in cat.records)
 
 
-def _decoded_lines(fh):
-    """(line number, text) for each line of a binary file, counting from 1."""
-    for lineno, raw in enumerate(fh, start=1):
-        try:
-            yield lineno, raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CatalogFormatError(f"line {lineno}: not valid UTF-8") from exc
+def _decode(raw: bytes, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogFormatError(f"line {lineno}: not valid UTF-8") from exc
 
 
 def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
@@ -203,6 +213,21 @@ def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
     return obj
 
 
+def _parse_record(raw: bytes, lineno: int) -> tuple:
+    """The six values of a record line in any spelling JSON allows."""
+    line = _decode(raw, lineno)
+    if not line.strip():
+        raise CatalogFormatError(f"line {lineno}: blank record line")
+    row = _parse_line(line, lineno, RECORD_FIELDS)
+    values = tuple(row.values())
+    if {type(v) for v in values[:5]} != {int} or type(values[5]) is not str:
+        raise CatalogFormatError(
+            f"line {lineno}: bad record (numbers must be plain integers "
+            f"and classification a string, got {row!r})"
+        )
+    return values
+
+
 def load(path) -> Catalog:
     """Read a catalog written by save, validating it line by line.
 
@@ -213,10 +238,21 @@ def load(path) -> Catalog:
     16·area² = (a+b+c)(−a+b+c)(a−b+c)(a+b−c). The perimeter must be within
     the header's p_max, and records must be strictly increasing in
     (perimeter, a, b, c), so sorted and unique.
+
+    A record line spelled exactly as save writes it is parsed by one
+    bytes regex (_CANONICAL_RECORD), with no decode, json.loads or dict.
+    The match is exact: such a line is valid JSON with the record keys in
+    order, and its numbers are [1-9][0-9]* of at most 100 digits, so
+    int() gives the values json.loads would. Any other line (spaces,
+    escapes, CRLF, signs, leading zeros, longer numbers, bad UTF-8) is
+    decoded and parsed by json.loads; both kinds then pass the same
+    checks, with the same line-numbered errors. A load of the
+    11,861-record p_max 2000 catalog takes 71–78 ms this way, against
+    130–165 ms with json.loads on every line (see README).
     """
+    canonical = _CANONICAL_RECORD.fullmatch
     with open(path, "rb") as fh:
-        lines = _decoded_lines(fh)
-        _, header_line = next(lines, (1, ""))
+        header_line = _decode(fh.readline(), 1)
         if not header_line.strip():
             raise CatalogFormatError("line 1: missing header")
         header = _parse_line(header_line, 1, tuple(_HEADER_TYPES))
@@ -233,18 +269,15 @@ def load(path) -> Catalog:
         p_max = header["p_max"]
         records = []
         previous = ()  # sorts before every key
-        for lineno, line in lines:
-            if not line.strip():
-                raise CatalogFormatError(f"line {lineno}: blank record line")
-            row = _parse_line(line, lineno, RECORD_FIELDS)
-            a, b, c, perimeter, area, classification = row.values()
+        for lineno, raw in enumerate(fh, start=2):
+            match = canonical(raw)
+            if match:
+                a, b, c, perimeter, area, classification = match.groups()
+                a, b, c, perimeter, area = int(a), int(b), int(c), int(perimeter), int(area)
+                classification = _CLASSIFICATIONS[classification]
+            else:
+                a, b, c, perimeter, area, classification = _parse_record(raw, lineno)
             sides = (a, b, c)
-            if ({type(a), type(b), type(c), type(perimeter), type(area)} != {int}
-                    or type(classification) is not str):
-                raise CatalogFormatError(
-                    f"line {lineno}: bad record (numbers must be plain integers "
-                    f"and classification a string, got {row!r})"
-                )
             if not a <= b <= c:
                 raise CatalogFormatError(f"line {lineno}: sides {sides} are not sorted")
             if a < 1 or a + b <= c:

@@ -343,12 +343,12 @@ def triangles_with_area(area: int) -> list[Triangle]:
 
     Divisor-triple search: for each divisor pair (x, y) of area^2 the
     remaining gap must solve z^2 + (x+y)z - area^2/(x*y) = 0, so z
-    exists exactly when the discriminant is a perfect square and the
-    positive root is an integer >= y. The loop bounds come from
-    s*x*y*z = area^2 with x <= y <= z: x satisfies 3*x^4 <= area^2 and
-    y satisfies x*y*y*(x + 2*y) <= area^2, so the scan is finite and
-    provably complete. That y bound is increasing in y, so it is found
-    once per x, by bisecting the sorted divisors.
+    exists exactly when the discriminant is a perfect square; the
+    positive root is then an integer >= y (proof in the loop). The loop
+    bounds come from s*x*y*z = area^2 with x <= y <= z: x satisfies
+    3*x^4 <= area^2 and y satisfies x*y*y*(x + 2*y) <= area^2, so the
+    scan is finite and provably complete. That y bound is increasing in
+    y, so it is found once per x, by bisecting the sorted divisors.
 
     Raises ValueError if the area has a prime factor at or above
     3,317,044,064,679,887,385,961,981, which _factorize cannot prove
@@ -371,10 +371,11 @@ def triangles_with_area(area: int) -> list[Triangle]:
             target = rest // y  # z * (z + x + y) must equal this
             disc = (x + y) * (x + y) + 4 * target
             root = perfect_square_root(disc)
-            if root is None or (root - x - y) % 2:
-                continue
-            z = (root - x - y) // 2
-            if z >= y:
+            # z = (root - x - y)/2 needs no further test: root^2 is (x+y)^2 mod 4,
+            # so root - x - y is even; and x*y*y*(x + 2*y) <= a2 = (x+y+z)*x*y*z,
+            # increasing in z with equality at z = y, so z >= y.
+            if root is not None:
+                z = (root - x - y) // 2
                 found.append(Triangle(x + y, x + z, y + z))
     found.sort()
     return found

@@ -6,6 +6,8 @@ import pytest
 from oracles import naive_triangle_scan
 
 from heronian.catalog import (
+    _CANONICAL_RECORD,
+    RECORD_FIELDS,
     Catalog,
     CatalogFormatError,
     CatalogRecord,
@@ -14,7 +16,7 @@ from heronian.catalog import (
     load,
     save,
 )
-from heronian.core import Triangle, heron_area
+from heronian.core import Classification, Triangle, heron_area
 from heronian.enumeration import triangles_with_area, triangles_with_perimeter
 
 
@@ -136,6 +138,12 @@ def _jsonl(*objects):
     return b"".join(json.dumps(o, separators=(",", ":")).encode() + b"\n" for o in objects)
 
 
+def _canonical(a, b, c, perimeter, area, classification=b"deficient"):
+    """A record line in save's spelling, with each value's bytes given as is."""
+    return (b'{"a":%s,"b":%s,"c":%s,"perimeter":%s,"area":%s,"classification":"%s"}\n'
+            % (a, b, c, perimeter, area, classification))
+
+
 @pytest.mark.parametrize("content, message", [
     pytest.param(b"\xff\xfe\n", "line 1: not valid UTF-8", id="non-utf8-header"),
     pytest.param(_jsonl(HEADER, R345) + b'{"a":\xff}\n', "line 3: not valid UTF-8",
@@ -168,6 +176,20 @@ def _jsonl(*objects):
                  r"line 2: sides \(0, 4, 5\) are degenerate or not positive", id="zero-side"),
     pytest.param(_jsonl(HEADER, dict(R345, classification=6)), "line 2: bad record",
                  id="classification-not-str"),
+    # canonical in shape, but not what save writes: these take the JSON path
+    pytest.param(_jsonl(HEADER) + _canonical(b"9" * 5000, b"4", b"5", b"12", b"6"),
+                 r"line 2: invalid JSON \(Exceeds the limit", id="canonical-5000-digit-side"),
+    pytest.param(_jsonl(HEADER) + _canonical(b"03", b"4", b"5", b"12", b"6"),
+                 r"line 2: invalid JSON", id="canonical-leading-zero"),
+    pytest.param(_jsonl(HEADER) + _canonical("\u0663".encode(), b"4", b"5", b"12", b"6"),
+                 r"line 2: invalid JSON", id="canonical-arabic-indic-digit"),
+    pytest.param(_jsonl(HEADER) + _canonical(b"3", b"4", b"5", b"12", b"-6"),
+                 "line 2: area -6 does not match", id="canonical-area-negated"),
+    pytest.param(_jsonl(HEADER, R345) + _canonical(b"5", b"12", b"13", b"30", b"30",
+                                                   b"equ\xffable"),
+                 "line 3: not valid UTF-8", id="canonical-non-utf8"),
+    pytest.param(_jsonl(HEADER, R345) + b"\n" + _jsonl(R51213), "line 3: blank record line",
+                 id="blank-line"),
 ])
 def test_load_rejects_corruption_by_line(tmp_path, content, message):
     path = tmp_path / "c.jsonl"
@@ -176,6 +198,49 @@ def test_load_rejects_corruption_by_line(tmp_path, content, message):
         load(path)
     path.write_bytes(_jsonl(HEADER, R345, R51213))  # the same records, well-formed
     assert [r.perimeter for r in load(path).records] == [12, 30]
+
+
+def test_saved_record_lines_take_the_canonical_parser(tmp_path):
+    # a typo in the pattern would send every line down the slower JSON path
+    # and leave every other test passing
+    path = tmp_path / "c.jsonl"
+    save(build(600), path)
+    lines = path.read_bytes().splitlines(keepends=True)[1:]
+    assert len(lines) > 500
+    assert all(_CANONICAL_RECORD.fullmatch(line) for line in lines)
+
+
+def test_non_canonical_spelling_loads_the_same_catalog(tmp_path):
+    cat = build(600)
+    assert any(r.classification == "equable" for r in cat.records)
+    canonical, spaced = tmp_path / "c.jsonl", tmp_path / "spaced.jsonl"
+    save(cat, canonical)
+    lines = [json.dumps(cat.header(), separators=(", ", ": "))]
+    lines += [json.dumps(r.row(), separators=(", ", ": ")).replace(
+        '"equable"', '"\\u0065quable"') for r in cat.records]
+    spaced.write_bytes("\r\n".join(lines).encode())  # CRLF, and no final newline
+    assert b"\\u0065quable" in spaced.read_bytes()
+    loaded = load(spaced)
+    assert loaded == load(canonical) == cat
+    assert loaded.built_at == cat.built_at
+
+
+def test_catalog_record_api(tmp_path):
+    assert RECORD_FIELDS == ("a", "b", "c", "perimeter", "area", "classification")
+    cat = build(300)
+    records = list(cat.records)
+    random.Random(3).shuffle(records)
+    # ordered field by field, as the frozen dataclass it replaced
+    assert sorted(records) == sorted(records, key=lambda r: tuple(getattr(r, f)
+                                                                  for f in RECORD_FIELDS))
+    assert len(set(records)) == len(records)
+    with pytest.raises(AttributeError):
+        records[0].a = 1
+    assert all(tuple(r.row()) == RECORD_FIELDS for r in records)
+    path = tmp_path / "c.jsonl"
+    save(cat, path)
+    shared = {id(c.value) for c in Classification}
+    assert {id(r.classification) for r in load(path).records} <= shared
 
 
 def test_deterministic_bytes(tmp_path):

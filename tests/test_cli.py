@@ -313,6 +313,17 @@ def test_module_entry_point_runs():
     assert proc.stdout.splitlines()[1] == "9,12,15,36,54,abundant"
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only catalog.build(workers > 1) needs it, so no CLI process pays to import it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, heronian.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
+
+
 TABLE_CASES = {
     "enumerate-area": (
         ["enumerate", "--area", "36"],
