@@ -57,8 +57,7 @@ class CatalogRecord(NamedTuple):
 
     @classmethod
     def from_triangle(cls, t: Triangle) -> CatalogRecord:
-        # uncached, so that rendering query results does not fill heron_area's cache
-        area = heron_area.__wrapped__(t)
+        area = heron_area(t)
         if area is None:
             raise ValueError(f"{t} is not Heronian")
         return cls(t.a, t.b, t.c, t.perimeter, area,

@@ -1,8 +1,11 @@
 """Exact integer arithmetic for triangles with integer sides.
 
 Everything here runs on plain Python integers. A triangle is reported as
-Heronian (integer area) only when the squared area factors exactly, so
-there are no floating-point false positives at any input size.
+Heronian (integer area) only when the squared area s*x*y*z is a perfect
+square, so there are no floating-point false positives at any input
+size. That one predicate is decided in one place, perfect_square_root:
+math.isqrt and a multiply back. heron_area keeps the areas of the last
+4096 triangles it was asked about.
 """
 
 from __future__ import annotations
@@ -26,23 +29,9 @@ __all__ = [
 ]
 
 
-# Residue tables: a square must land on a square residue modulo 256 and
-# modulo 3465 = 9*5*7*11. Together they reject ~98.6% of non-squares
-# before the full-precision isqrt runs.
-_SQ_MOD_256 = bytearray(256)
-for _r in range(256):
-    _SQ_MOD_256[(_r * _r) & 255] = 1
-_SQ_MOD_3465 = bytearray(3465)
-for _r in range(3465):
-    _SQ_MOD_3465[(_r * _r) % 3465] = 1
-del _r
-
-
 def perfect_square_root(n: int) -> int | None:
     """Exact square root of n, or None when n is not a perfect square."""
     if n < 0:
-        return None
-    if not _SQ_MOD_256[n & 255] or not _SQ_MOD_3465[n % 3465]:
         return None
     r = isqrt(n)
     return r if r * r == n else None
@@ -129,7 +118,7 @@ class Classification(enum.Enum):
         return cls.ABUNDANT
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def heron_area(t: Triangle) -> int | None:
     """Exact integer area of t, or None when t is not Heronian.
 

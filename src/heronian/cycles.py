@@ -37,7 +37,8 @@ __all__ = [
 
 def canonical_rotation(members: tuple | str) -> tuple | str:
     """Lexicographically least rotation of a tuple or a string."""
-    return min(members[i:] + members[:i] for i in range(len(members)))
+    least = min(members)  # the least rotation starts at an occurrence of it
+    return min(members[i:] + members[:i] for i, m in enumerate(members) if m == least)
 
 
 @dataclass(frozen=True)

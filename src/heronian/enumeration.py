@@ -30,12 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import gcd
 
-from heronian.core import (
-    Triangle,
-    heron_area,
-    isqrt,
-    perfect_square_root,
-)
+from heronian.core import Triangle, isqrt, perfect_square_root
 
 __all__ = [
     "area_perimeter_bound",
@@ -402,10 +397,8 @@ def equable_triangles() -> list[Triangle]:
                 den = x * y - 4
                 if num % den == 0:
                     z = num // den
-                    if z >= y:
-                        t = Triangle(x + y, x + z, y + z)
-                        if heron_area(t) == t.perimeter:
-                            found.append(t)
+                    if z >= y:  # x*y*z = 4s, so area^2 = s*x*y*z = (2s)^2: equable
+                        found.append(Triangle(x + y, x + z, y + z))
             y += 1
         x += 1
     found.sort()

@@ -65,6 +65,56 @@ def test_perfect_square_root_agrees_with_direct_check():
         assert perfect_square_root(n) == expected
 
 
+def test_perfect_square_root_agrees_with_isqrt_below_2_16():
+    for n in range(1 << 16):
+        r = math.isqrt(n)
+        assert perfect_square_root(n) == (r if r * r == n else None)
+
+
+def test_perfect_square_root_near_squares_of_every_bit_length():
+    rng = random.Random(400)
+    for bits in range(1, 401):
+        k = rng.getrandbits(bits) | (1 << (bits - 1))  # exactly `bits` bits
+        assert perfect_square_root(k * k) == k
+        assert perfect_square_root(k * k + 1) is None
+        assert perfect_square_root(k * k - 1) is (0 if k == 1 else None)
+        assert perfect_square_root(-k) is None
+        assert perfect_square_root(-k * k) is None
+
+
+def test_perfect_square_root_rejects_non_squares_with_square_residues():
+    # non-squares that are squares mod 256 and mod 3465 = 9*5*7*11, so no
+    # residue filter on those moduli could reject them; the root must
+    sq256 = {r * r % 256 for r in range(256)}
+    sq3465 = {r * r % 3465 for r in range(3465)}
+    rng = random.Random(3465)
+    found = 0
+    for bits in (8, 16, 24, 40, 64, 90, 128, 400):
+        for _ in range(1000):
+            n = rng.getrandbits(bits)
+            if n % 256 in sq256 and n % 3465 in sq3465 and math.isqrt(n) ** 2 != n:
+                assert perfect_square_root(n) is None
+                found += 1
+    for k in range(1, 200):  # k^2 shifted by a multiple of both moduli
+        n = k * k + 256 * 3465
+        if math.isqrt(n) ** 2 != n:
+            assert perfect_square_root(n) is None
+            found += 1
+    assert found > 200
+
+
+def test_heron_area_cache_is_bounded():
+    maxsize = heron_area.cache_info().maxsize
+    assert maxsize == 4096
+    for n in range(1, maxsize + 1000):  # more distinct triangles than it holds
+        heron_area(Triangle(n, n + 1, n + 1))
+        assert heron_area.cache_info().currsize <= maxsize
+    hits = heron_area.cache_info().hits
+    heron_area(Triangle(maxsize, maxsize + 1, maxsize + 1))  # recent, so still cached
+    assert heron_area.cache_info().hits == hits + 1
+    heron_area.cache_clear()
+
+
 def test_triangle_normalizes_side_order():
     t = Triangle(15, 9, 12)
     assert t.sides == (9, 12, 15)

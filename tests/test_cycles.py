@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oracles import area_divisor_oracle
@@ -122,6 +124,24 @@ def test_canonical_rotation():
     assert canonical_rotation((W, U, V)) == (V, W, U)
 
 
+def brute_rotation(members):
+    return min(members[i:] + members[:i] for i in range(len(members)))
+
+
+def test_canonical_rotation_matches_brute_force():
+    rng = random.Random(5204)
+    triangles = sorted(equable_triangles() + [U, V, W])
+    for n in range(1, 23):
+        for _ in range(40):
+            digits = tuple(rng.randrange(3) for _ in range(n))  # minima repeat
+            word = "".join(rng.choice("UVW") for _ in range(n))
+            tris = tuple(rng.choice(triangles[:3]) for _ in range(n))
+            for members in (digits, word, tris):
+                assert canonical_rotation(members) == brute_rotation(members)
+    for members in ("UVUV", "WUVWUV", (1, 0, 1, 0, 0), (V, U, V, U), (2, 2, 2)):
+        assert canonical_rotation(members) == brute_rotation(members)
+
+
 def test_find_cycles_amicable_pair():
     cycles = find_cycles(2, 100)
     assert cycles == [ConcreteCycle((U, V))]
@@ -228,6 +248,6 @@ def test_cycle_core_matches_per_area_core(p_max):
 def test_cold_core_leaves_heron_area_cache_alone():
     # the join's rows carry each vertex's area, so the core needs no heron_area
     _cycle_core.cache_clear()
-    before = heron_area.cache_info().currsize
+    before = heron_area.cache_info()
     _cycle_core(2000)
-    assert heron_area.cache_info().currsize == before
+    assert heron_area.cache_info() == before  # no call at all: no hit, no miss

@@ -350,6 +350,22 @@ def test_equable_census():
         assert heron_area(t) == t.perimeter
 
 
+def test_equable_region_is_equable_without_a_heron_check():
+    # equable_triangles keeps every integer z >= y of this region unchecked,
+    # since x*y*z = 4s gives area^2 = s*x*y*z = (2s)^2; pin that here
+    region = []
+    for x in range(1, 13):
+        for y in range(x, 13):
+            if 5 <= x * y <= 12 and 4 * (x + y) % (x * y - 4) == 0:
+                z = 4 * (x + y) // (x * y - 4)
+                if z >= y:
+                    t = Triangle(x + y, x + z, y + z)
+                    assert x * y * z == 4 * (x + y + z)
+                    assert heron_area(t) == t.perimeter
+                    region.append(t)
+    assert sorted(region) == equable_triangles()
+
+
 def test_deficient_contains_the_candidates():
     result = deficient_triangles(2000)
     for expected in [(3, 4, 5), (5, 5, 8), (3, 25, 26), (3, 865, 866)]:
