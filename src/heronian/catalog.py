@@ -98,8 +98,8 @@ class Catalog:
     p_max: int
     records: tuple[CatalogRecord, ...]
     built_at: str = field(compare=False, default="")
-    _by_perimeter: dict = field(compare=False, repr=False, default_factory=dict)
-    _by_area: dict = field(compare=False, repr=False, default_factory=dict)
+    _by_perimeter: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    _by_area: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         # the indexes hold records; queries build Triangles only for their matches

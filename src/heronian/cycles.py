@@ -232,18 +232,15 @@ def closed_walks(n: int, p_max: int) -> list[tuple[Triangle, ...]]:
         raise ValueError("cycle length must be at least 1")
     core, succ = _cycle_core(p_max)
     found: set[tuple[Triangle, ...]] = set()
-
-    def extend(path: list[Triangle], v0: Triangle) -> None:
-        if len(path) == n:
-            if v0 in succ[path[-1]]:
-                found.add(canonical_rotation(tuple(path)))
-            return
-        for u in succ[path[-1]]:
-            if u >= v0:  # v0 is the minimal member of any walk it anchors
-                extend(path + [u], v0)
-
     for v0 in core:
-        extend([v0], v0)
+        stack = [(v0,)]  # an explicit stack, so n is not bounded by the recursion limit
+        while stack:
+            path = stack.pop()
+            if len(path) == n:
+                if v0 in succ[path[-1]]:
+                    found.add(canonical_rotation(path))
+            else:  # v0 is the minimal member of any walk it anchors
+                stack.extend(path + (u,) for u in succ[path[-1]] if u >= v0)
     return sorted(found)
 
 

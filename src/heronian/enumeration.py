@@ -22,7 +22,8 @@ and refuses (ValueError) an area with a prime factor the test cannot
 certify, that is one at or above 3,317,044,064,679,887,385,961,981.
 Every enumerator returns a sorted list (the range enumerator by
 perimeter first, the others lexicographically), so output is
-deterministic.
+deterministic. The two perimeter enumerators emit their rows in that
+order by construction, so neither sorts.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ def triangles_with_perimeter(p: int) -> list[Triangle]:
             if d is not None and u + d <= 2 * z:  # y <= z
                 found.append(Triangle(u, z + (u - d) // 2, z + (u + d) // 2))
             t += 1
-    found.sort()
-    return found
+    return found  # sorted: a = u ascends, and b = z + (u - d)/2 rises with t as d shrinks
 
 
 def _squarefree_kernels(n: int) -> list[int]:
@@ -153,6 +153,11 @@ def _kernel_join(
     coordinates x <= y <= z, sorted by (perimeter, a, b, c); the sides
     are (x+y, x+z, y+z).
 
+    The rows come out in that order by construction, with no sort: each
+    hit goes to the list of its semiperimeter s, and the lists are
+    concatenated in s order. Within one s, a = u ascends in the outer
+    loop and, for that u, b = x + z ascends with x in the pair lists.
+
     With u = x + y the squared area is (x*y) * (z*(u+z)), a square
     exactly when the two factors have the same squarefree kernel. For
     each u the pairs x <= y = u - x are grouped by the parity hash of
@@ -186,11 +191,7 @@ def _kernel_join(
         return []
     a2 = None if area_max is None else area_max * area_max
     h = _parity_hashes(s_hi)
-    # one packed int per hit, (s, u, x) in base K = s_hi and then the area
-    # in base K^2: u, x < s < K and area <= s^2 / sqrt(27) < K^2
-    K = s_hi
-    K2 = K * K
-    keys = []
+    by_s: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(s_hi)]
     u = 2
     while u + (u + 1) // 2 < s_hi:  # smallest s for this u is u + ceil(u/2)
         z_lo = max((u + 1) // 2, s_lo - u)
@@ -218,15 +219,9 @@ def _kernel_join(
                             continue
                         area = perfect_square_root(sq)
                         if area is not None:
-                            keys.append(((s * K + u) * K + x) * K2 + area)
+                            by_s[s].append((s, x, u - x, z, area))
         u += 1
-    keys.sort()  # by (s, a = u, b = x + z), as z = s - u
-    for i, key in enumerate(keys):  # rows replace keys, so both lists never coexist
-        rest, area = divmod(key, K2)
-        su, x = divmod(rest, K)
-        s, u = divmod(su, K)
-        keys[i] = (s, x, u - x, s - u, area)
-    return keys
+    return [row for rows in by_s for row in rows]
 
 
 # Miller-Rabin with the prime bases up to 41 has no strong pseudoprime

@@ -333,3 +333,17 @@ def test_catalog_equality_ignores_timestamp():
     cat = build(60)
     other = Catalog(cat.p_max, cat.records, "someone else's clock")
     assert cat == other
+
+
+def test_indexes_are_not_constructor_parameters(tmp_path):
+    built = build(60)
+    # only the records fill the indexes; a seeded index would answer (3, 4, 5) twice
+    with pytest.raises(TypeError):
+        Catalog(built.p_max, built.records, "", _by_perimeter={12: list(built.records)})
+    with pytest.raises(TypeError):
+        Catalog(built.p_max, built.records, "", _by_area={6: list(built.records)})
+    assert built.query_by_perimeter(12) == ([Triangle(3, 4, 5)], True)
+    path = tmp_path / "c.jsonl"
+    save(built, path)
+    perimeters, areas = range(71), range(41)
+    assert _answers(load(path), perimeters, areas) == _answers(built, perimeters, areas)

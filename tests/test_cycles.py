@@ -209,6 +209,14 @@ def test_discarded_walks_are_exactly_the_constant_equable_loops():
         assert discarded == expected
 
 
+def test_long_walks_do_not_hit_the_recursion_limit():
+    # at p_max 30 the core is two equable self-loops, so the only length-1200
+    # closed walks are constant and none is a sociable cycle
+    assert closed_walks(1200, 30) == [(Triangle(5, 12, 13),) * 1200,
+                                      (Triangle(6, 8, 10),) * 1200]
+    assert find_cycles(1200, 30) == []
+
+
 def test_cycle_members_satisfy_vertex_bounds():
     for cycle in find_cycles(6, 200):
         for t in cycle.members:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from heronian.core import Classification, Triangle, classify, decompose, heron_area
@@ -32,7 +34,7 @@ def test_divisibility_rejects_bad_input():
 def test_divisibility_modular_matches_full_computation():
     for x in range(1, 7):
         for y in range(x, 12 - x + 1):
-            for n in range(1, 5):
+            for n in range(1, 7):
                 full_power = 2 ** (2**n) * (x + y) ** (2**n - 1)
                 for z in range(1, 1001):
                     assert check_theorem1_divisibility(x, y, z, n) == (
@@ -43,6 +45,19 @@ def test_divisibility_modular_matches_full_computation():
 def test_divisibility_is_cheap_for_large_n():
     # the power itself has ~2^200 bits; the modular route must not build it
     assert check_theorem1_divisibility(1, 2, 864, 200)
+
+
+def test_divisibility_is_constant_time_past_the_cap():
+    # 2^(10^9) alone has 10^9 bits; past n = z.bit_length().bit_length() the
+    # answer is fixed, so n = 10^9 answers at once, as n = 5 does for z <= 1000
+    start = time.perf_counter()
+    assert check_theorem1_divisibility(1, 2, 864, 10**9)
+    assert time.perf_counter() - start < 1.0
+    for x, y in ((1, 2), (1, 4), (2, 3), (3, 9)):
+        for z in range(1, 1001):
+            assert check_theorem1_divisibility(x, y, z, 10**9) == (
+                check_theorem1_divisibility(x, y, z, 5)
+            )
 
 
 def test_lemma2_verified_and_witnesses():
