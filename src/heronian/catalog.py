@@ -60,8 +60,7 @@ class CatalogRecord(NamedTuple):
         area = heron_area(t)
         if area is None:
             raise ValueError(f"{t} is not Heronian")
-        return cls(t.a, t.b, t.c, t.perimeter, area,
-                   Classification.compare(area, t.perimeter).value)
+        return cls(t.a, t.b, t.c, t.perimeter, area, _classify(area, t.perimeter))
 
     def triangle(self) -> Triangle:
         return Triangle(self.a, self.b, self.c)
@@ -79,12 +78,26 @@ _RECORD_LINE = (
 # setting), and %s one of the three classifications. Why a match parses
 # exactly as json.loads would: see load.
 _CLASSIFICATIONS = {c.value.encode(): c.value for c in Classification}
+_EQUABLE = Classification.EQUABLE.value
+_DEFICIENT = Classification.DEFICIENT.value
+_ABUNDANT = Classification.ABUNDANT.value
 _CANONICAL_RECORD = re.compile(
     re.escape(_RECORD_LINE.rstrip("\n").encode())
     .replace(b"%d", rb"([1-9][0-9]{0,99})")
     .replace(b"%s", b"(" + b"|".join(_CLASSIFICATIONS) + b")")
     + rb"\n?"
 )
+
+
+def _classify(area: int, perimeter: int) -> str:
+    """Classification.compare(area, perimeter).value, the same str object.
+
+    Plain comparisons: on Python 3.11 an enum's .value is a Python-level
+    descriptor, which costs more than the rest of this per record.
+    """
+    if area == perimeter:
+        return _EQUABLE
+    return _DEFICIENT if perimeter > area else _ABUNDANT
 
 
 @dataclass
@@ -139,13 +152,15 @@ def _records_for_range(bounds: tuple[int, int]) -> list[CatalogRecord]:
     """Records for perimeters in [start, stop); a parallel work unit.
 
     Read straight from the join's rows, which carry the exact area, so
-    no Triangle is built and heron_area's cache is left alone.
+    no Triangle is built and heron_area's cache is left alone. Records
+    are made as CatalogRecord._make does, without the class's __new__
+    frame; every tuple has the six fields in order.
     """
+    new = tuple.__new__
     records = []
     for s, x, y, z, area in _kernel_join(*bounds, None):
         p = 2 * s
-        records.append(CatalogRecord(x + y, x + z, y + z, p, area,
-                                     Classification.compare(area, p).value))
+        records.append(new(CatalogRecord, (x + y, x + z, y + z, p, area, _classify(area, p))))
     return records
 
 
@@ -168,11 +183,15 @@ def build(p_max: int, workers: int = 1) -> Catalog:
         step = max(2, (p_max // workers + 1) & ~1)
         chunks = [(lo, min(lo + step, p_max + 1)) for lo in range(1, p_max + 1, step)]
         records = []
+        new = tuple.__new__
         # imported here so that only a pooled build pays for the pool machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_records_for_range, chunks):
-                records.extend(part)
+                # unpickling gives each chunk its own copies of the classification
+                # strings; records share the enum's, as from the other paths
+                records.extend(new(CatalogRecord, r[:5] + (_classify(r.area, r.perimeter),))
+                               for r in part)
     built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return Catalog(p_max, tuple(records), built_at)
 
@@ -246,10 +265,11 @@ def load(path) -> Catalog:
     escapes, CRLF, signs, leading zeros, longer numbers, bad UTF-8) is
     decoded and parsed by json.loads; both kinds then pass the same
     checks, with the same line-numbered errors. A load of the
-    11,861-record p_max 2000 catalog takes 71–78 ms this way, against
-    130–165 ms with json.loads on every line (see README).
+    11,861-record p_max 2000 catalog takes a median 63–65 ms this way,
+    against 121–123 ms when every line takes json.loads (see README).
     """
     canonical = _CANONICAL_RECORD.fullmatch
+    new = tuple.__new__
     with open(path, "rb") as fh:
         header_line = _decode(fh.readline(), 1)
         if not header_line.strip():
@@ -293,7 +313,8 @@ def load(path) -> Catalog:
                 raise CatalogFormatError(
                     f"line {lineno}: area {area} does not match sides {sides}"
                 )
-            if classification != Classification.compare(area, perimeter).value:
+            expected = _classify(area, perimeter)
+            if classification != expected:
                 raise CatalogFormatError(
                     f"line {lineno}: classification {classification!r} "
                     f"does not match sides {sides}"
@@ -307,7 +328,8 @@ def load(path) -> Catalog:
                 problem = "duplicate record" if key == previous else "record out of order"
                 raise CatalogFormatError(f"line {lineno}: {problem} {sides}")
             previous = key
-            records.append(CatalogRecord(a, b, c, perimeter, area, classification))
+            # the shared str, whichever parser read the line
+            records.append(new(CatalogRecord, (a, b, c, perimeter, area, expected)))
     if len(records) != header["count"]:
         raise CatalogFormatError(
             f"line {len(records) + 1}: header count {header['count']} does not "
