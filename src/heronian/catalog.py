@@ -134,7 +134,7 @@ class Catalog:
         The answer is complete exactly when p is inside the built range.
         """
         matches = self._by_perimeter.get(p, ())
-        return sorted(r.triangle() for r in matches), p <= self.p_max
+        return [r.triangle() for r in sorted(matches)], p <= self.p_max
 
     def query_by_area(self, area: int) -> tuple[list[Triangle], bool]:
         """Triangles with the given area, plus a completeness flag.
@@ -145,7 +145,7 @@ class Catalog:
         and the flag is False rather than silently truncating.
         """
         matches = self._by_area.get(area, ())
-        return sorted(r.triangle() for r in matches), area_perimeter_bound(area) <= self.p_max
+        return [r.triangle() for r in sorted(matches)], area_perimeter_bound(area) <= self.p_max
 
 
 def _records_for_range(bounds: tuple[int, int]) -> list[CatalogRecord]:

@@ -183,41 +183,32 @@ def _cycle_core(p_max: int) -> tuple[tuple[Triangle, ...], dict]:
     """Recurrent core of the successor graph on triangles with
     perimeter <= p_max and area <= p_max.
 
-    The vertices come from one area-capped kernel join over perimeters
-    0..p_max, which finds every triangle in both bounds at once instead
-    of querying each area up to p_max. The join only probes perimeters
-    that are multiples of 6: a core vertex's perimeter is its
-    predecessor's area, and every Heronian area is a multiple of 6
-    (proof at enumeration._kernel_join), so any other vertex would be
-    trimmed for want of a predecessor. Each join row carries its exact
-    area, which names the vertex's successors without heron_area, so a
-    core build leaves that cache alone. Vertices with no successor or no
-    predecessor inside the set are trimmed iteratively; that never
-    removes a vertex lying on a closed walk, so walk enumeration over
-    the core is complete.
+    The candidates are the (s, x, y, z, area) rows of one area-capped
+    kernel join over perimeters 0..p_max, which finds every triangle in
+    both bounds at once instead of querying each area up to p_max. The
+    join only probes perimeters that are multiples of 6: a core vertex's
+    perimeter is its predecessor's area, and every Heronian area is a
+    multiple of 6 (proof at enumeration._kernel_join), so any other
+    vertex would be trimmed for want of a predecessor. Rows are kept
+    while their area is some kept row's perimeter (a successor) and
+    their perimeter some kept row's area (a predecessor): the greatest
+    set in which every vertex has both, so no vertex on a closed walk is
+    lost. Triangles are built only for the kept rows, and the rows'
+    exact areas leave heron_area's cache alone.
     """
-    areas: dict[Triangle, int] = {}
+    rows, kept = None, _kernel_join(0, p_max + 1, p_max, s_step=3)
+    while kept != rows:
+        rows = kept
+        perimeters = {2 * row[0] for row in rows}
+        areas = {row[4] for row in rows}
+        kept = [row for row in rows if row[4] in perimeters and 2 * row[0] in areas]
+
+    vertices = sorted((Triangle(x + y, x + z, y + z), area) for _, x, y, z, area in rows)
     by_perimeter: dict[int, list[Triangle]] = {}
-    for s, x, y, z, area in _kernel_join(0, p_max + 1, p_max, s_step=3):
-        t = Triangle(x + y, x + z, y + z)  # rows come sorted by perimeter, then sides
-        areas[t] = area
-        by_perimeter.setdefault(2 * s, []).append(t)
-
-    succ_of = {t: by_perimeter.get(area, ()) for t, area in areas.items()}
-
-    alive = set(succ_of)
-    while True:
-        has_succ = {t for t in alive if any(u in alive for u in succ_of[t])}
-        with_preds: set[Triangle] = set()
-        for t in has_succ:
-            with_preds.update(u for u in succ_of[t] if u in has_succ)
-        if with_preds == alive:
-            break
-        alive = with_preds
-
-    core = tuple(sorted(alive))
-    succ = {t: tuple(u for u in succ_of[t] if u in alive) for t in core}
-    return core, succ
+    for t, _ in vertices:
+        by_perimeter.setdefault(t.perimeter, []).append(t)
+    succ = {t: tuple(by_perimeter[area]) for t, area in vertices}
+    return tuple(succ), succ
 
 
 def closed_walks(n: int, p_max: int) -> list[tuple[Triangle, ...]]:

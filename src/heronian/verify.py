@@ -114,6 +114,8 @@ def check_lemma2(p_max: int) -> TheoremReport:
     perimeter <= p_max this confirms area^2 / perimeter = x*y*z / 2
     exactly, x*y*z being even.
     """
+    if p_max < 1:
+        raise ValueError("p_max must be at least 1")
     bounds = {"p_max": p_max}
     checked = even_area = 0
     # the join's rows carry the gaps and the exact area, so no Triangle is
@@ -155,6 +157,8 @@ def check_lemma3(p_max: int) -> TheoremReport:
     that search region; see deficient_triangles) and checks the
     coordinate bounds hold for each one.
     """
+    if p_max < 1:
+        raise ValueError("p_max must be at least 1")
     bounds = {"p_max": p_max}
     checked = 0
     for t in deficient_triangles(p_max):
@@ -177,8 +181,8 @@ def check_theorem2(n: int, p_max: int) -> TheoremReport:
     every survivor is one of (3,4,5), (5,5,8), (3,25,26), (3,865,866);
     the survivors themselves are reported as witnesses.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if n < 1 or p_max < 1:
+        raise ValueError("n and p_max must be at least 1")
     bounds = {"n": n, "p_max": p_max}
     expected = set(DEFICIENT_CANDIDATES)
     survivors = []
@@ -277,6 +281,8 @@ def check_theorem3(p_max: int, n_max: int) -> TheoremReport:
     (9,12,15), (3,25,26), (9,10,17) and that every cycle contains
     (3,25,26), the unique deficient cycle member.
     """
+    if p_max < 1 or n_max < 1:
+        raise ValueError("p_max and n_max must be at least 1")
     bounds = {"p_max": p_max, "n_max": n_max}
     allowed = set(CYCLE_TRIANGLES)
     must_contain = TRIANGLE_FOR_SYMBOL["V"]

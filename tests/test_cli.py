@@ -192,6 +192,13 @@ def test_verify_theorem3_with_bounds(capsys):
     assert json.loads(out)["reports"][0]["verdict"] == "verified-within-bounds"
 
 
+def test_verify_empty_bound_is_usage_error(capsys):
+    code, out, err = run_cli(["verify", "--claim", "all", "--p-max", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "p_max" in err
+
+
 def test_catalog_build_info(tmp_path, capsys):
     path = str(tmp_path / "c.jsonl")
     code, out, err = run_cli(["catalog", "build", "--p-max", "12", "--out", path], capsys)

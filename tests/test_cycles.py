@@ -253,6 +253,23 @@ def test_cycle_core_matches_per_area_core(p_max):
     assert _cycle_core(p_max) == per_area_core(p_max)
 
 
+def test_cold_core_builds_triangles_only_for_its_vertices(monkeypatch):
+    built = []
+
+    def counting_triangle(*sides):
+        built.append(sides)
+        return Triangle(*sides)
+
+    monkeypatch.setattr("heronian.cycles.Triangle", counting_triangle)
+    _cycle_core.cache_clear()
+    try:
+        core, _ = _cycle_core(4750)
+    finally:
+        _cycle_core.cache_clear()  # no core built through the wrapper outlives the test
+    assert len(core) == 8
+    assert len(built) == len(core)
+
+
 def test_cold_core_leaves_heron_area_cache_alone():
     # the join's rows carry each vertex's area, so the core needs no heron_area
     _cycle_core.cache_clear()

@@ -115,6 +115,20 @@ def test_theorem2_survivors_are_deficient_heronian():
         assert classify(t) is Classification.DEFICIENT
 
 
+@pytest.mark.parametrize("check", [
+    lambda: check_lemma2(0),
+    lambda: check_lemma2(-1),
+    lambda: check_lemma3(0),
+    lambda: check_theorem2(3, 0),
+    lambda: check_theorem3(0, 8),
+    lambda: check_theorem3(1000, 0),
+], ids=["lemma2-p0", "lemma2-p-1", "lemma3-p0", "theorem2-p0", "theorem3-p0", "theorem3-n0"])
+def test_empty_bound_is_refused(check):
+    # a bound that admits nothing would report verified after checking nothing
+    with pytest.raises(ValueError):
+        check()
+
+
 def test_power_difference_solutions():
     sols = solve_power_difference(64)
     assert sols.pow2_minus_pow3 == {(1, 0), (2, 1)}
