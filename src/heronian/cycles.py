@@ -133,48 +133,41 @@ def trace_chain(
 ) -> tuple[ChainTrace, ...]:
     """Follow the linking relation from a triangle, up to max_steps hops.
 
-    Whenever a step yields several triangles the exploration branches;
-    the result is one ChainTrace per root-to-leaf path, in depth-first
-    order with branches sorted by side triple. A path ends dead-end when
-    the next step is empty, cycle-closed when it would revisit one of
-    its own members (the revisited member is appended as the final
-    step), and bound-hit when the budget runs out first.
+    A step's link is the query for its neighbours: its area, whose
+    triangles_with_perimeter are its successors, or its perimeter, whose
+    triangles_with_area are its predecessors. One explicit stack walks
+    the branches; the result is one ChainTrace per root-to-leaf path, in
+    depth-first order with branches sorted by side triple. A path ends
+    dead-end when the next step is empty, cycle-closed when it would
+    revisit one of its own members (the revisited member is appended as
+    the final step), and bound-hit when the budget runs out first.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    if heron_area(start) is None:
+    area = heron_area(start)
+    if area is None:
         raise ValueError(f"{start} is not Heronian")
-    step = successors if direction is ChainDirection.SUCCESSOR else predecessors
-
-    def link(t: Triangle) -> int:
-        if direction is ChainDirection.SUCCESSOR:
-            area = heron_area(t)
-            assert area is not None
-            return area
-        return t.perimeter
-
+    forward = direction is ChainDirection.SUCCESSOR
+    neighbours = triangles_with_perimeter if forward else triangles_with_area
     traces: list[ChainTrace] = []
-
-    def make(path: list[Triangle], end: ChainEnd) -> None:
-        traces.append(
-            ChainTrace(direction, tuple((t, link(t)) for t in path), end)
-        )
-
-    def walk(path: list[Triangle]) -> None:
-        nxt = step(path[-1])
-        if not nxt:
-            make(path, ChainEnd.DEAD_END)
-            return
-        if len(path) - 1 >= max_steps:
-            make(path, ChainEnd.BOUND_HIT)
-            return
-        for u in nxt:
-            if u in path:
-                make(path + [u], ChainEnd.CYCLE_CLOSED)
-            else:
-                walk(path + [u])
-
-    walk([start])
+    stack = [(((start, area if forward else start.perimeter),), None)]
+    while stack:
+        steps, end = stack.pop()
+        if end is None:
+            nxt = neighbours(steps[-1][1])
+            if not nxt:
+                end = ChainEnd.DEAD_END
+            elif len(steps) > max_steps:
+                end = ChainEnd.BOUND_HIT
+            else:  # reversed, so the first branch is popped first
+                members = {t for t, _ in steps}
+                stack.extend(
+                    (steps + ((u, heron_area(u) if forward else u.perimeter),),
+                     ChainEnd.CYCLE_CLOSED if u in members else None)
+                    for u in reversed(nxt)
+                )
+                continue
+        traces.append(ChainTrace(direction, steps, end))
     return tuple(traces)
 
 
@@ -221,6 +214,8 @@ def closed_walks(n: int, p_max: int) -> list[tuple[Triangle, ...]]:
     """
     if n < 1:
         raise ValueError("cycle length must be at least 1")
+    if p_max < 1:
+        raise ValueError("p_max must be at least 1")
     core, succ = _cycle_core(p_max)
     found: set[tuple[Triangle, ...]] = set()
     for v0 in core:

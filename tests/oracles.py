@@ -95,6 +95,41 @@ def area_divisor_oracle(area: int) -> list[tuple[int, int, int]]:
     return found
 
 
+def trace_chain_oracle(
+    sides: tuple[int, int, int], successor: bool, max_steps: int
+) -> list[tuple[tuple[tuple[tuple[int, int, int], int], ...], str]]:
+    """Every root-to-leaf chain path from the triangle with these sides,
+    as (steps, end) with steps the (sides, link) pairs and end one of
+    "dead-end", "cycle-closed" or "bound-hit", in depth-first order with
+    branches sorted by side triple: the recursive walk trace_chain used
+    before it kept an explicit stack. Successor-ward a link is the area
+    and its neighbours are perimeter_scan_oracle(area); predecessor-ward
+    the link is the perimeter and its neighbours area_divisor_oracle of
+    it."""
+    step = perimeter_scan_oracle if successor else area_divisor_oracle
+
+    def link(t: tuple[int, int, int]) -> int:
+        return naive_integer_area(*t) if successor else sum(t)
+
+    paths = []
+
+    def walk(path: list[tuple[int, int, int]]) -> None:
+        nxt = step(link(path[-1]))
+        if not nxt:
+            paths.append((path, "dead-end"))
+        elif len(path) - 1 >= max_steps:
+            paths.append((path, "bound-hit"))
+        else:
+            for u in nxt:
+                if u in path:
+                    paths.append((path + [u], "cycle-closed"))
+                else:
+                    walk(path + [u])
+
+    walk([sides])
+    return [(tuple((t, link(t)) for t in path), end) for path, end in paths]
+
+
 def words_oracle(n: int) -> set[str]:
     """All valid cycle words of length n, one canonical rotation each,
     by filtering all 3^n raw words."""

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ from oracles import naive_integer_area
 
 import heronian.cli as cli
 from heronian.catalog import Catalog, build, save
+from heronian.core import Triangle
 
 
 def run_cli(argv, capsys):
@@ -130,6 +132,14 @@ def test_cycles_concrete_requires_p_max(capsys):
     assert "--p-max" in err
 
 
+@pytest.mark.parametrize("p_max", ["0", "-1"])
+def test_cycles_concrete_empty_bound_is_usage_error(p_max, capsys):
+    code, out, err = run_cli(["cycles", "--n", "2", "--concrete", "--p-max", p_max], capsys)
+    assert code == 2
+    assert out == ""
+    assert "p_max must be at least 1" in err
+
+
 def test_cycles_modes_agree_in_count(capsys):
     for n in range(2, 9):
         code, sym, _ = run_cli(["cycles", "--n", str(n), "--symbolic", "--format", "json"], capsys)
@@ -197,6 +207,17 @@ def test_verify_empty_bound_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "p_max" in err
+
+
+def test_verify_counterexample_exits_1_with_json_report(monkeypatch, capsys):
+    stray = SimpleNamespace(members=(Triangle(3, 25, 26), Triangle(13, 14, 15)))
+    monkeypatch.setattr("heronian.verify.find_cycles", lambda n, p_max: [stray])
+    code, out, err = run_cli(["verify", "--claim", "theorem3", "--format", "json"], capsys)
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)["reports"][0]
+    assert report["verdict"] == "counterexample"
+    assert report["witnesses"][0]["unexpected_member"] == [13, 14, 15]
 
 
 def test_catalog_build_info(tmp_path, capsys):

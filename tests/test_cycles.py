@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import area_divisor_oracle
+from oracles import area_divisor_oracle, perimeter_scan_oracle, trace_chain_oracle
 
 from heronian.core import Classification, Triangle, classify, heron_area
 from heronian.cycles import (
@@ -104,6 +104,38 @@ def test_trace_chain_bound_hit():
         assert t.num_steps <= 1
 
 
+def library_traces(sides, direction, max_steps):
+    return [
+        (tuple((t.sides, link) for t, link in trace.steps), trace.end.value)
+        for trace in trace_chain(Triangle(*sides), direction, max_steps)
+    ]
+
+
+def test_predecessor_traces_match_recursive_oracle():
+    # whole traces in order: steps, links and ends, so a branch visited
+    # out of turn fails as surely as a wrong link
+    starts = [t for p in range(301) for t in perimeter_scan_oracle(p)]
+    count = 0
+    for sides in starts:
+        for max_steps in range(1, 5):
+            expected = trace_chain_oracle(sides, False, max_steps)
+            assert library_traces(sides, ChainDirection.PREDECESSOR, max_steps) == expected
+            count += len(expected)
+    assert count == 7084
+
+
+def test_successor_traces_match_recursive_oracle():
+    # one step only: the oracle's O(p^2) scan of each successor's area
+    # explodes at two
+    starts = [t for p in range(79) for t in perimeter_scan_oracle(p)]
+    count = 0
+    for sides in starts:
+        expected = trace_chain_oracle(sides, True, 1)
+        assert library_traces(sides, ChainDirection.SUCCESSOR, 1) == expected
+        count += len(expected)
+    assert count == 266
+
+
 def test_concrete_cycle_validation():
     cycle = ConcreteCycle((U, V))
     assert cycle.members == (V, U)  # canonical rotation puts the least first
@@ -153,6 +185,18 @@ def test_find_cycles_amicable_pair():
 
 def test_find_cycles_length_one_is_empty():
     assert find_cycles(1, 100) == []
+
+
+@pytest.mark.parametrize("p_max", [0, -1])
+@pytest.mark.parametrize("search", [
+    lambda p_max: closed_walks(2, p_max),
+    lambda p_max: find_cycles(2, p_max),
+    amicable_pairs,
+], ids=["closed_walks", "find_cycles", "amicable_pairs"])
+def test_empty_cycle_bound_is_refused(search, p_max):
+    # a bound that admits no triangle would answer "no cycles" unsearched
+    with pytest.raises(ValueError, match="p_max must be at least 1"):
+        search(p_max)
 
 
 def test_find_cycles_five():

@@ -1,9 +1,11 @@
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from heronian.core import Classification, Triangle, classify, decompose, heron_area
 from heronian.verify import (
+    VERDICT_COUNTEREXAMPLE,
     VERDICT_VERIFIED,
     check_equable_census,
     check_factorization_cases,
@@ -162,6 +164,35 @@ def test_theorem3_verified():
     assert counts[2] == 1
     assert counts[3] == 1
     assert counts[5] == 2
+
+
+U, V, W = Triangle(9, 12, 15), Triangle(3, 25, 26), Triangle(9, 10, 17)
+STRAY = Triangle(13, 14, 15)
+
+
+@pytest.mark.parametrize("members, witness", [
+    ((V, U, STRAY), {"unexpected_member": [13, 14, 15]}),
+    ((U, W), {"missing_member": [3, 25, 26]}),
+], ids=["stray-member", "missing-member"])
+def test_theorem3_reports_counterexample(monkeypatch, members, witness):
+    # stand-ins for cycles a faulty search could return; the real search
+    # finds none, so only a patched find_cycles reaches these branches
+    cycle = SimpleNamespace(members=members)
+    monkeypatch.setattr("heronian.verify.find_cycles", lambda n, p_max: [cycle])
+    report = check_theorem3(1000, 8)
+    assert report.verdict == VERDICT_COUNTEREXAMPLE
+    assert not report.ok
+    cycle_sides = [list(t.sides) for t in members]
+    assert report.witnesses == [dict(witness, n=1, cycle=cycle_sides)]
+
+
+def test_lemma3_reports_counterexample(monkeypatch):
+    # (13, 14, 15) has gaps (6, 7, 8), so x = 6 > 3
+    monkeypatch.setattr("heronian.verify.deficient_triangles", lambda p_max: [STRAY])
+    report = check_lemma3(2000)
+    assert report.verdict == VERDICT_COUNTEREXAMPLE
+    assert not report.ok
+    assert [(w["a"], w["b"], w["c"], w["x"]) for w in report.witnesses] == [(13, 14, 15, 6)]
 
 
 def test_equable_and_gersonides_reports():
