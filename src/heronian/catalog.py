@@ -12,9 +12,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 from typing import NamedTuple
 
-from heronian.core import Classification, Triangle, heron_area
+from heronian.core import Classification, Triangle, _classify, heron_area
 from heronian.enumeration import (
     _kernel_join,
     area_perimeter_bound,
@@ -78,26 +79,12 @@ _RECORD_LINE = (
 # setting), and %s one of the three classifications. Why a match parses
 # exactly as json.loads would: see load.
 _CLASSIFICATIONS = {c.value.encode(): c.value for c in Classification}
-_EQUABLE = Classification.EQUABLE.value
-_DEFICIENT = Classification.DEFICIENT.value
-_ABUNDANT = Classification.ABUNDANT.value
 _CANONICAL_RECORD = re.compile(
     re.escape(_RECORD_LINE.rstrip("\n").encode())
     .replace(b"%d", rb"([1-9][0-9]{0,99})")
     .replace(b"%s", b"(" + b"|".join(_CLASSIFICATIONS) + b")")
     + rb"\n?"
 )
-
-
-def _classify(area: int, perimeter: int) -> str:
-    """Classification.compare(area, perimeter).value, the same str object.
-
-    Plain comparisons: on Python 3.11 an enum's .value is a Python-level
-    descriptor, which costs more than the rest of this per record.
-    """
-    if area == perimeter:
-        return _EQUABLE
-    return _DEFICIENT if perimeter > area else _ABUNDANT
 
 
 @dataclass
@@ -148,50 +135,38 @@ class Catalog:
         return [r.triangle() for r in sorted(matches)], area_perimeter_bound(area) <= self.p_max
 
 
-def _records_for_range(bounds: tuple[int, int]) -> list[CatalogRecord]:
-    """Records for perimeters in [start, stop); a parallel work unit.
-
-    Read straight from the join's rows, which carry the exact area, so
-    no Triangle is built and heron_area's cache is left alone. Records
-    are made as CatalogRecord._make does, without the class's __new__
-    frame; every tuple has the six fields in order.
-    """
-    new = tuple.__new__
-    records = []
-    for s, x, y, z, area in _kernel_join(*bounds, None):
-        p = 2 * s
-        records.append(new(CatalogRecord, (x + y, x + z, y + z, p, area, _classify(area, p))))
-    return records
-
-
 def build(p_max: int, workers: int = 1) -> Catalog:
     """Index every Heronian triangle with perimeter <= p_max.
 
-    With workers > 1 the perimeter range is split into consecutive
-    chunks processed by a process pool. Each chunk comes back sorted by
-    (perimeter, a, b, c) and pool.map keeps the chunk order, so the
-    result does not depend on worker scheduling. The pool does not pay on
-    2 cores; it stays only for the perfbench/ probe build(2000, workers=2).
+    The perimeter range is split into one chunk per worker. Each chunk's
+    join rows (see _kernel_join) are plain ints sorted by (perimeter, a,
+    b, c), and this process makes every record from them, so no Triangle
+    is built, heron_area's cache is left alone and each record shares its
+    classification's str. With workers > 1 a process pool runs the joins;
+    pool.map keeps the chunk order, so the result does not depend on
+    worker scheduling. The pool does not pay on 2 cores; it stays only
+    for the perfbench/ probe build(2000, workers=2).
     """
     if p_max < 1:
         raise ValueError("p_max must be positive")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    step = max(2, (p_max // workers + 1) & ~1)
+    los = range(1, p_max + 1, step)
+    his = [min(lo + step, p_max + 1) for lo in los]
     if workers == 1:
-        records = _records_for_range((1, p_max + 1))
+        parts = map(_kernel_join, los, his, repeat(None))
     else:
-        step = max(2, (p_max // workers + 1) & ~1)
-        chunks = [(lo, min(lo + step, p_max + 1)) for lo in range(1, p_max + 1, step)]
-        records = []
-        new = tuple.__new__
         # imported here so that only a pooled build pays for the pool machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_records_for_range, chunks):
-                # unpickling gives each chunk its own copies of the classification
-                # strings; records share the enum's, as from the other paths
-                records.extend(new(CatalogRecord, r[:5] + (_classify(r.area, r.perimeter),))
-                               for r in part)
+            parts = list(pool.map(_kernel_join, los, his, repeat(None)))
+    # made as CatalogRecord._make does, without the class's __new__ frame;
+    # every tuple has the six fields in order. A serial build's rows are
+    # freed as the comprehension ends, before the Catalog builds its indexes.
+    new = tuple.__new__
+    records = [new(CatalogRecord, (x + y, x + z, y + z, 2 * s, area, _classify(area, 2 * s)))
+               for part in parts for s, x, y, z, area in part]
     built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return Catalog(p_max, tuple(records), built_at)
 

@@ -65,9 +65,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_cycles(args) -> int:
+    if args.concrete != (args.p_max is not None):
+        raise ValueError("--concrete requires --p-max" if args.concrete
+                         else "--p-max requires --concrete")
     if args.concrete:
-        if args.p_max is None:
-            raise ValueError("--concrete requires --p-max")
         cycles = [[list(t.sides) for t in c.members] for c in find_cycles(args.n, args.p_max)]
         payload = {"n": args.n, "mode": "concrete", "p_max": args.p_max, "cycles": cycles}
         rows = [
@@ -91,12 +92,9 @@ def cmd_cycles(args) -> int:
 
 
 def _check_point(args) -> verify_mod.TheoremReport:
-    point = {"x": args.x, "y": args.y, "z": args.z, "n": args.n}
-    if None in point.values():
+    if None in (args.x, args.y, args.z, args.n):
         raise ValueError("--claim theorem1 requires --x, --y, --z and --n")
-    divides = verify_mod.check_theorem1_divisibility(**point)
-    verdict = verify_mod.VERDICT_VERIFIED if divides else verify_mod.VERDICT_COUNTEREXAMPLE
-    return verify_mod.TheoremReport("theorem1", point, verdict, [dict(point, divides=divides)])
+    return verify_mod.check_theorem1(args.x, args.y, args.z, args.n)
 
 
 # --claim value -> check, in --help order. "all" runs every claim but the
@@ -117,19 +115,18 @@ def cmd_verify(args) -> int:
         reports = [check(args) for claim, check in _CLAIMS.items() if claim != "theorem1"]
     else:
         reports = [_CLAIMS[args.claim](args)]
-    compact = {"sort_keys": True, "separators": (",", ":")}
+    dicts = [r.to_dict() for r in reports]
     rows = [
-        {"claim": r.claim, "verdict": r.verdict,
-         "bounds": json.dumps(r.bounds, **compact),
-         "witnesses": json.dumps(r.witnesses, **compact)}
-        for r in reports
+        dict(d, bounds=json.dumps(d["bounds"], separators=(",", ":")),
+             witnesses=json.dumps(d["witnesses"], separators=(",", ":")))
+        for d in dicts
     ]
+    # table lines keep each report's own key order
     lines = []
     for r in reports:
         lines.append(f"{r.claim}: {r.verdict}  bounds={r.bounds}")
         lines.extend(f"  {w}" for w in r.witnesses)
-    payload = {"reports": [json.loads(r.to_json()) for r in reports]}
-    _emit(args.format, payload, rows, ["claim", "verdict", "bounds", "witnesses"], lines)
+    _emit(args.format, {"reports": dicts}, rows, ["claim", "verdict", "bounds", "witnesses"], lines)
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -111,11 +111,21 @@ class Classification(enum.Enum):
     @classmethod
     def compare(cls, area: int, perimeter: int) -> Classification:
         """Classify a known area against its perimeter."""
-        if area == perimeter:
-            return cls.EQUABLE
-        if perimeter > area:
-            return cls.DEFICIENT
-        return cls.ABUNDANT
+        return cls(_classify(area, perimeter))
+
+
+_EQUABLE, _DEFICIENT, _ABUNDANT = (c.value for c in Classification)
+
+
+def _classify(area: int, perimeter: int) -> str:
+    """Classification.compare(area, perimeter).value, the same str object.
+
+    Plain comparisons: on Python 3.11 an enum's .value is a Python-level
+    descriptor, which costs more than the rest of this per catalog record.
+    """
+    if area == perimeter:
+        return _EQUABLE
+    return _DEFICIENT if perimeter > area else _ABUNDANT
 
 
 @lru_cache(maxsize=4096)

@@ -12,9 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from heronian.core import (
-    Classification,
     Triangle,
-    classify,
     decompose,
     heron_area,
     perfect_square_root,  # unused here; the benchmark tracer counts calls through this name
@@ -38,6 +36,7 @@ __all__ = [
     "check_gersonides",
     "check_lemma2",
     "check_lemma3",
+    "check_theorem1",
     "check_theorem1_divisibility",
     "check_theorem2",
     "check_theorem3",
@@ -95,14 +94,17 @@ class TheoremReport:
     def ok(self) -> bool:
         return self.verdict == VERDICT_VERIFIED
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The report as one JSON object: fixed field order, sorted keys inside."""
+        return {
             "claim": self.claim,
             "bounds": _normalize(self.bounds),
             "verdict": self.verdict,
             "witnesses": _normalize(self.witnesses),
         }
-        return json.dumps(payload, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
 def check_lemma2(p_max: int) -> TheoremReport:
@@ -147,6 +149,18 @@ def check_theorem1_divisibility(x: int, y: int, z: int, n: int) -> bool:
     # factorization, so z divides iff each prime of z divides 2*(x+y)
     e = 2 ** min(n, z.bit_length().bit_length())
     return pow(2, e, z) * pow(x + y, e - 1, z) % z == 0
+
+
+def check_theorem1(x: int, y: int, z: int, n: int) -> TheoremReport:
+    """The theorem 1 divisibility query at one point, as a report.
+
+    Verified when z divides 2^(2^n) * (x+y)^(2^n - 1); the one witness
+    repeats the point with the answer.
+    """
+    point = {"x": x, "y": y, "z": z, "n": n}
+    divides = check_theorem1_divisibility(x, y, z, n)
+    verdict = VERDICT_VERIFIED if divides else VERDICT_COUNTEREXAMPLE
+    return TheoremReport("theorem1", point, verdict, [dict(point, divides=divides)])
 
 
 def check_lemma3(p_max: int) -> TheoremReport:
@@ -214,18 +228,28 @@ class GersonidesSolutions:
 
 
 def solve_power_difference(exp_max: int) -> GersonidesSolutions:
-    """Scan all exponents up to exp_max for 2^p - 3^q = +/-1, exactly."""
+    """Scan all exponents up to exp_max for 2^p - 3^q = +/-1, exactly.
+
+    2^p and 3^q rise together, one multiply each per step, so memory
+    stays O(exp_max) bits. 3^q is the least power of 3 above 2^p, so
+    the only power of 3 that can be 2^p + 1 is 3^q, and the only one
+    that can be 2^p - 1 is 3^(q-1). As 2^(p+1) < 2 * 3^q < 3^(q+1), q
+    moves at most one step per p, and q <= p stays within exp_max
+    wherever a solution is recorded.
+    """
     if exp_max < 1:
         raise ValueError("exp_max must be at least 1")
     two_minus_three = set()
     three_minus_two = set()
-    log3 = {3**q: q for q in range(exp_max + 1)}
+    pow2, q, pow3, below = 1, 1, 3, 1  # 2^p, q, 3^q, 3^(q-1)
     for p in range(exp_max + 1):
-        pow2 = 2**p
-        if pow2 - 1 in log3:
-            two_minus_three.add((p, log3[pow2 - 1]))
-        if pow2 + 1 in log3:
-            three_minus_two.add((log3[pow2 + 1], p))
+        if pow3 <= pow2:
+            q, below, pow3 = q + 1, pow3, 3 * pow3
+        if below == pow2 - 1:
+            two_minus_three.add((p, q - 1))
+        if pow3 == pow2 + 1:
+            three_minus_two.add((q, p))
+        pow2 *= 2
     return GersonidesSolutions(exp_max, two_minus_three, three_minus_two)
 
 

@@ -184,3 +184,17 @@ def trial_division_factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def power_difference_oracle(exp_max: int) -> tuple[set, set]:
+    """({(p, q): 2^p - 3^q = 1}, {(q, p): 3^q - 2^p = 1}) for exponents
+    up to exp_max, by looking each 2^p +/- 1 up in a dict of every 3^q."""
+    log3 = {3**q: q for q in range(exp_max + 1)}
+    two_minus_three, three_minus_two = set(), set()
+    for p in range(exp_max + 1):
+        pow2 = 2**p
+        if pow2 - 1 in log3:
+            two_minus_three.add((p, log3[pow2 - 1]))
+        if pow2 + 1 in log3:
+            three_minus_two.add((log3[pow2 + 1], p))
+    return two_minus_three, three_minus_two

@@ -55,8 +55,14 @@ def test_records_are_sorted_and_unique():
     assert len({(r.a, r.b, r.c) for r in cat.records}) == len(cat.records)
 
 
-def test_parallel_build_equals_serial():
-    assert build(240, workers=3) == build(240)
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("p_max", [1, 13, 240, 777])
+def test_parallel_build_equals_serial(p_max, workers):
+    pooled = build(p_max, workers=workers)
+    assert pooled == build(p_max)
+    # the pool ships join rows, so this process makes every record
+    shared = {id(c.value) for c in Classification}
+    assert {id(r.classification) for r in pooled.records} <= shared
 
 
 def test_roundtrip(tmp_path):

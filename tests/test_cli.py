@@ -10,6 +10,7 @@ from oracles import naive_integer_area
 import heronian.cli as cli
 from heronian.catalog import Catalog, build, save
 from heronian.core import Triangle
+from heronian.verify import check_theorem1
 
 
 def run_cli(argv, capsys):
@@ -132,6 +133,15 @@ def test_cycles_concrete_requires_p_max(capsys):
     assert "--p-max" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--symbolic"]])
+def test_cycles_p_max_requires_concrete(mode, capsys):
+    # a symbolic listing has no perimeter bound to apply
+    code, out, err = run_cli(["cycles", "--n", "3", *mode, "--p-max", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--p-max requires --concrete" in err
+
+
 @pytest.mark.parametrize("p_max", ["0", "-1"])
 def test_cycles_concrete_empty_bound_is_usage_error(p_max, capsys):
     code, out, err = run_cli(["cycles", "--n", "2", "--concrete", "--p-max", p_max], capsys)
@@ -179,6 +189,18 @@ def test_verify_theorem1_point_check(capsys):
     )
     assert code == 0
     assert json.loads(out)["reports"][0]["witnesses"][0]["divides"] is True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_theorem1_prints_the_check_theorem1_report(n, capsys):
+    code, out, _ = run_cli(
+        ["verify", "--claim", "theorem1", "--x", "1", "--y", "2", "--z", "864",
+         "--n", str(n), "--format", "json"],
+        capsys,
+    )
+    report = check_theorem1(1, 2, 864, n)
+    assert code == (0 if report.ok else 1)
+    assert json.loads(out) == {"reports": [report.to_dict()]}
 
 
 def test_verify_theorem1_requires_point(capsys):

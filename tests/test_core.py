@@ -7,6 +7,7 @@ from heronian.core import (
     Classification,
     SxyzDecomposition,
     Triangle,
+    _classify,
     classify,
     decompose,
     heron_area,
@@ -200,6 +201,14 @@ def test_classify_known_values():
     assert classify(Triangle(9, 10, 17)) is Classification.EQUABLE
     assert classify(Triangle(3, 25, 26)) is Classification.DEFICIENT
     assert classify(Triangle(9, 12, 15)) is Classification.ABUNDANT
+
+
+def test_plain_classify_is_the_enum_value():
+    # a grid through area == perimeter and perimeter +/- 1
+    for perimeter in range(1, 60):
+        for area in range(1, 120):
+            assert _classify(area, perimeter) is Classification.compare(area, perimeter).value
+    assert {_classify(a, 12) for a in (11, 12, 13)} == {c.value for c in Classification}
 
 
 def test_classify_rejects_non_heronian():

@@ -1,7 +1,10 @@
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+
+from oracles import power_difference_oracle
 
 from heronian.core import Classification, Triangle, classify, decompose, heron_area
 from heronian.verify import (
@@ -139,6 +142,29 @@ def test_power_difference_solutions():
     small = solve_power_difference(4)
     assert small.pow2_minus_pow3 == sols.pow2_minus_pow3
     assert small.pow3_minus_pow2 == sols.pow3_minus_pow2
+
+
+def test_power_difference_matches_the_dict_scan():
+    for exp_max in range(1, 301):
+        sols = solve_power_difference(exp_max)
+        assert (sols.pow2_minus_pow3, sols.pow3_minus_pow2) == power_difference_oracle(exp_max)
+
+
+def _peak_bytes(scan, exp_max):
+    tracemalloc.start()
+    try:
+        scan(exp_max)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_power_difference_memory_is_linear():
+    # the scan holds 2^p and 3^q, under 3 KB at exp_max 4000; a dict of every
+    # 3^q holds O(exp_max^2) bits, 2.1 MB here
+    bound = 64 * 1024
+    assert _peak_bytes(solve_power_difference, 4000) < bound
+    assert _peak_bytes(power_difference_oracle, 4000) > bound
 
 
 def test_power_difference_drives_the_largest_candidate():
