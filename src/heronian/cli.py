@@ -92,8 +92,8 @@ def cmd_cycles(args) -> int:
 
 
 def _check_point(args) -> verify_mod.TheoremReport:
-    if None in (args.x, args.y, args.z, args.n):
-        raise ValueError("--claim theorem1 requires --x, --y, --z and --n")
+    if None in (args.x, args.y, args.z):
+        raise ValueError("--claim theorem1 requires --x, --y and --z")
     return verify_mod.check_theorem1(args.x, args.y, args.z, args.n)
 
 
@@ -130,19 +130,18 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def cmd_catalog(args) -> int:
-    if args.action == "build":
-        if args.p_max is None or args.out is None:
-            raise ValueError("catalog build requires --p-max and --out")
-        cat = catalog_mod.build(args.p_max)
-        try:
-            catalog_mod.save(cat, args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {len(cat)} records to {args.out}", file=sys.stderr)
-        return 0
+def cmd_catalog_build(args) -> int:
+    cat = catalog_mod.build(args.p_max)
+    try:
+        catalog_mod.save(cat, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {len(cat)} records to {args.out}", file=sys.stderr)
+    return 0
 
+
+def cmd_catalog_info(args) -> int:
     path = args.path or os.environ.get(CATALOG_ENV_VAR)
     if path is None:
         raise ValueError(f"catalog info requires --in or ${CATALOG_ENV_VAR}")
@@ -155,14 +154,6 @@ def cmd_catalog(args) -> int:
     lines = [f"{key}: {value}" for key, value in header.items()]
     _emit(args.format, header, [header], list(header), lines)
     return 0
-
-
-_COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "cycles": cmd_cycles,
-    "verify": cmd_verify,
-    "catalog": cmd_catalog,
-}
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -185,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--perimeter", type=int, help="exact perimeter to match")
     group.add_argument("--area", type=int, help="exact area to match")
     _add_format(p_enum)
+    p_enum.set_defaults(run=cmd_enumerate)
 
     p_cyc = sub.add_parser("cycles", help="enumerate n-sociable cycles")
     p_cyc.add_argument("--n", type=int, required=True, help="cycle length")
@@ -195,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="search concrete triangle cycles (needs --p-max)")
     p_cyc.add_argument("--p-max", type=int, help="perimeter bound for concrete search")
     _add_format(p_cyc)
+    p_cyc.set_defaults(run=cmd_cycles)
 
     p_ver = sub.add_parser("verify", help="machine-check a claim within bounds")
     p_ver.add_argument(
@@ -211,14 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--y", type=int)
     p_ver.add_argument("--z", type=int)
     _add_format(p_ver)
+    p_ver.set_defaults(run=cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="build or inspect a triangle catalog")
-    p_cat.add_argument("action", choices=("build", "info"))
-    p_cat.add_argument("--p-max", type=int, help="perimeter bound for build")
-    p_cat.add_argument("--out", help="output path for build")
-    p_cat.add_argument("--in", dest="path",
-                       help=f"catalog path for info (default: ${CATALOG_ENV_VAR})")
-    _add_format(p_cat)
+    cat_sub = p_cat.add_subparsers(dest="action", required=True)
+    p_build = cat_sub.add_parser("build", help="write every triangle up to a perimeter bound")
+    p_build.add_argument("--p-max", type=int, required=True, help="perimeter bound")
+    p_build.add_argument("--out", required=True, help="output path")
+    p_build.set_defaults(run=cmd_catalog_build)
+    p_info = cat_sub.add_parser("info", help="print a catalog's header")
+    p_info.add_argument("--in", dest="path", help=f"catalog path (default: ${CATALOG_ENV_VAR})")
+    _add_format(p_info)
+    p_info.set_defaults(run=cmd_catalog_info)
 
     return parser
 
@@ -227,7 +224,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         # precondition violations (n < 1, a missing flag) are usage errors
         parser.error(str(exc))

@@ -140,7 +140,9 @@ def trace_chain(
     depth-first order with branches sorted by side triple. A path ends
     dead-end when the next step is empty, cycle-closed when it would
     revisit one of its own members (the revisited member is appended as
-    the final step), and bound-hit when the budget runs out first.
+    the final step), and bound-hit when the budget runs out first. A
+    successor-ward leaf whose link is a multiple of 12 is bound-hit
+    without listing its neighbours, as one of them is always there.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -154,8 +156,11 @@ def trace_chain(
     while stack:
         steps, end = stack.pop()
         if end is None:
-            nxt = neighbours(steps[-1][1])
-            if not nxt:
+            link = steps[-1][1]
+            if forward and link % 12 == 0 and len(steps) > max_steps:
+                # (A/4, A/3, 5A/12) is a Heronian 3-4-5 triangle with perimeter A
+                end = ChainEnd.BOUND_HIT
+            elif not (nxt := neighbours(link)):
                 end = ChainEnd.DEAD_END
             elif len(steps) > max_steps:
                 end = ChainEnd.BOUND_HIT

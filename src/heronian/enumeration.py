@@ -383,10 +383,8 @@ def equable_triangles() -> list[Triangle]:
     assumption; the well-known count of five is asserted in tests only.
     """
     found = []
-    x = 1
-    while x * x <= 12:
-        y = x
-        while x * y <= 12:
+    for x in range(1, 4):  # x*x <= x*y <= 12
+        for y in range(x, 12 // x + 1):
             if x * y > 4:
                 num = 4 * (x + y)
                 den = x * y - 4
@@ -394,8 +392,6 @@ def equable_triangles() -> list[Triangle]:
                     z = num // den
                     if z >= y:  # x*y*z = 4s, so area^2 = s*x*y*z = (2s)^2: equable
                         found.append(Triangle(x + y, x + z, y + z))
-            y += 1
-        x += 1
     found.sort()
     return found
 
@@ -411,10 +407,8 @@ def deficient_triangles(p_max: int) -> list[Triangle]:
     """
     s_max = p_max // 2
     found = []
-    x = 1
-    while x * x <= 11:  # x*y <= 11 and y >= x
-        y = x
-        while x * y <= 11:
+    for x in range(1, 4):  # x*x <= x*y <= 11
+        for y in range(x, 11 // x + 1):
             z_hi = s_max - x - y
             q = x * y - 4
             if q > 0:
@@ -422,7 +416,5 @@ def deficient_triangles(p_max: int) -> list[Triangle]:
             for z in range(y, z_hi + 1):
                 if perfect_square_root((x + y + z) * x * y * z) is not None:
                     found.append(Triangle(x + y, x + z, y + z))
-            y += 1
-        x += 1
     found.sort()
     return found

@@ -15,6 +15,7 @@ from heronian.core import (
     Triangle,
     decompose,
     heron_area,
+    isqrt,
     perfect_square_root,  # unused here; the benchmark tracer counts calls through this name
 )
 from heronian.cycles import find_cycles
@@ -260,8 +261,7 @@ def _difference_of_squares(product: int, offset: int) -> list[tuple[int, int]]:
     2z + offset = (d + e) / 2 and area = (e - d) / 2.
     """
     solutions = []
-    d = 1
-    while d * d <= product:
+    for d in range(1, isqrt(product) + 1):
         if product % d == 0:
             e = product // d
             if (d + e) % 2 == 0:
@@ -271,7 +271,6 @@ def _difference_of_squares(product: int, offset: int) -> list[tuple[int, int]]:
                     z = (u - offset) // 2
                     if z >= 1 and area >= 1:
                         solutions.append((z, area))
-        d += 1
     return solutions
 
 

@@ -203,10 +203,14 @@ def test_verify_theorem1_prints_the_check_theorem1_report(n, capsys):
     assert json.loads(out) == {"reports": [report.to_dict()]}
 
 
-def test_verify_theorem1_requires_point(capsys):
-    code, _, err = run_cli(["verify", "--claim", "theorem1"], capsys)
-    assert code == 2
-    assert "--x" in err
+@pytest.mark.parametrize("missing", ["--x", "--y", "--z"])
+def test_verify_theorem1_requires_point(missing, capsys):
+    point = {"--x": "1", "--y": "2", "--z": "864"}
+    del point[missing]
+    argv = ["verify", "--claim", "theorem1", *(arg for flag in point.items() for arg in flag)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "--claim theorem1 requires --x, --y and --z" in err
 
 
 def test_verify_unknown_claim(capsys):
@@ -299,6 +303,23 @@ def test_catalog_info_undecodable_json(tmp_path, capsys, line, detail):
 def test_catalog_build_missing_flags(capsys):
     code, _, _ = run_cli(["catalog", "build", "--p-max", "10"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("extra", [["--format", "json"], ["--in", "other.jsonl"]])
+def test_catalog_build_rejects_info_flags(extra, tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    code, out, _ = run_cli(["catalog", "build", "--p-max", "10", "--out", str(path), *extra],
+                           capsys)
+    assert (code, out) == (2, "")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("extra", [["--p-max", "5"], ["--out", "other.jsonl"]])
+def test_catalog_info_rejects_build_flags(extra, tmp_path, capsys):
+    path = str(tmp_path / "c.jsonl")
+    run_cli(["catalog", "build", "--p-max", "12", "--out", path], capsys)
+    code, out, _ = run_cli(["catalog", "info", "--in", path, *extra], capsys)
+    assert (code, out) == (2, "")
 
 
 def test_catalog_build_has_no_workers_flag(tmp_path, capsys):

@@ -136,6 +136,22 @@ def test_successor_traces_match_recursive_oracle():
     assert count == 266
 
 
+def test_successor_leaves_with_link_divisible_by_12_are_not_queried(monkeypatch):
+    # a leaf link A with 12 | A has the 3-4-5 triangle (A/4, A/3, 5A/12) of
+    # perimeter A, so U's successors at 54 (areas 36, 90, 126, 108) leave
+    # only the two links that are 6 mod 12 to query
+    expected = trace_chain_oracle(U.sides, True, 1)
+    queried = []
+
+    def counting(p):
+        queried.append(p)
+        return triangles_with_perimeter(p)
+
+    monkeypatch.setattr("heronian.cycles.triangles_with_perimeter", counting)
+    assert library_traces(U.sides, ChainDirection.SUCCESSOR, 1) == expected
+    assert queried == [54, 90, 126]
+
+
 def test_concrete_cycle_validation():
     cycle = ConcreteCycle((U, V))
     assert cycle.members == (V, U)  # canonical rotation puts the least first
