@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from itertools import repeat
 from typing import NamedTuple
 
-from heronian.core import Classification, Triangle, _classify, heron_area
+from heronian.core import Classification, Triangle, _area, _classify
 from heronian.enumeration import (
     _kernel_join,
     area_perimeter_bound,
@@ -58,9 +58,7 @@ class CatalogRecord(NamedTuple):
 
     @classmethod
     def from_triangle(cls, t: Triangle) -> CatalogRecord:
-        area = heron_area(t)
-        if area is None:
-            raise ValueError(f"{t} is not Heronian")
+        area = _area(t)
         return cls(t.a, t.b, t.c, t.perimeter, area, _classify(area, t.perimeter))
 
     def triangle(self) -> Triangle:
@@ -148,7 +146,7 @@ def build(p_max: int, workers: int = 1) -> Catalog:
     for the perfbench/ probe build(2000, workers=2).
     """
     if p_max < 1:
-        raise ValueError("p_max must be positive")
+        raise ValueError("p_max must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     step = max(2, (p_max // workers + 1) & ~1)

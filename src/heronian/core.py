@@ -146,6 +146,17 @@ def is_heronian(t: Triangle) -> bool:
     return heron_area(t) is not None
 
 
+def _area(t: Triangle) -> int:
+    """heron_area(t), or ValueError for a triangle that is not Heronian.
+
+    The one guard of every entry point that needs a Heronian triangle.
+    """
+    area = heron_area(t)
+    if area is None:
+        raise ValueError(f"{t} is not Heronian")
+    return area
+
+
 def decompose(t: Triangle) -> SxyzDecomposition:
     """Rewrite t in (s, x, y, z) coordinates.
 
@@ -169,7 +180,4 @@ def classify(t: Triangle) -> Classification:
 
     Raises ValueError for non-Heronian input.
     """
-    area = heron_area(t)
-    if area is None:
-        raise ValueError(f"{t} has no integer area")
-    return Classification.compare(area, t.perimeter)
+    return Classification.compare(_area(t), t.perimeter)

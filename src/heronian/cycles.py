@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from heronian.core import Classification, Triangle, classify, heron_area
+from heronian.core import Classification, Triangle, _area, classify, heron_area
 from heronian.enumeration import (
     _kernel_join,
     triangles_with_area,
@@ -58,9 +58,7 @@ class ConcreteCycle:
             raise ValueError("a cycle needs at least one member")
         n = len(members)
         for i, t in enumerate(members):
-            area = heron_area(t)
-            if area is None:
-                raise ValueError(f"{t} is not Heronian")
+            area = _area(t)
             nxt = members[(i + 1) % n]
             if area != nxt.perimeter:
                 raise ValueError(
@@ -115,16 +113,12 @@ class ChainTrace:
 
 def successors(t: Triangle) -> list[Triangle]:
     """Triangles whose perimeter equals the area of t."""
-    area = heron_area(t)
-    if area is None:
-        raise ValueError(f"{t} is not Heronian")
-    return triangles_with_perimeter(area)
+    return triangles_with_perimeter(_area(t))
 
 
 def predecessors(t: Triangle) -> list[Triangle]:
     """Triangles whose area equals the perimeter of t."""
-    if heron_area(t) is None:
-        raise ValueError(f"{t} is not Heronian")
+    _area(t)  # refuses a triangle that is not Heronian
     return triangles_with_area(t.perimeter)
 
 
@@ -146,9 +140,7 @@ def trace_chain(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    area = heron_area(start)
-    if area is None:
-        raise ValueError(f"{start} is not Heronian")
+    area = _area(start)
     forward = direction is ChainDirection.SUCCESSOR
     neighbours = triangles_with_perimeter if forward else triangles_with_area
     traces: list[ChainTrace] = []

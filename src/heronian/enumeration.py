@@ -371,50 +371,43 @@ def triangles_with_area(area: int) -> list[Triangle]:
     return found
 
 
-def equable_triangles() -> list[Triangle]:
-    """The Heronian triangles whose area equals their perimeter.
+def _not_abundant(p_max: int):
+    """Gap triples (x, y, z), x <= y <= z, of the Heronian triangles with
+    perimeter <= p_max and area <= perimeter, in (x, y, z) order.
 
-    Equability in gap coordinates reads x*y*z = 4*(x+y+z). Since
-    x <= y <= z forces 4*(x+y+z) <= 12*z, any solution has x*y <= 12,
-    and for x*y > 4 the third gap is pinned to z = 4*(x+y)/(x*y - 4)
-    (for x*y <= 4 the equation has no solution at all, as the left side
-    stays below 4*(x+y+z)). The scan below exhausts that finite region,
-    so emptiness beyond it is a consequence of the bound, not an
-    assumption; the well-known count of five is asserted in tests only.
+    Area <= perimeter reads s*x*y*z <= (2s)^2, i.e. x*y*z <= 4*(x+y+z).
+    As x <= y <= z, the right side is at most 12*z, so x*y <= 12 and
+    x <= 3. For x*y > 4 the inequality caps z at 4*(x+y)/(x*y - 4); for
+    x*y <= 4 it holds for every z (x*y*z <= 4*z), so only the perimeter
+    caps z. Each triple in this finite region is kept if s*x*y*z is a
+    square, so the region is exactly the non-abundant triangles.
     """
-    found = []
+    s_max = p_max // 2
     for x in range(1, 4):  # x*x <= x*y <= 12
         for y in range(x, 12 // x + 1):
+            z_hi = s_max - x - y
             if x * y > 4:
-                num = 4 * (x + y)
-                den = x * y - 4
-                if num % den == 0:
-                    z = num // den
-                    if z >= y:  # x*y*z = 4s, so area^2 = s*x*y*z = (2s)^2: equable
-                        found.append(Triangle(x + y, x + z, y + z))
-    found.sort()
-    return found
+                z_hi = min(z_hi, 4 * (x + y) // (x * y - 4))
+            for z in range(y, z_hi + 1):
+                if perfect_square_root((x + y + z) * x * y * z) is not None:
+                    yield x, y, z
+
+
+def equable_triangles() -> list[Triangle]:
+    """The Heronian triangles whose area equals their perimeter: the
+    equality cases x*y*z = 4*(x+y+z) of _not_abundant's region.
+
+    Each has perimeter <= 60: equality needs x*y > 4 and then
+    s = (x+y)*x*y/(x*y - 4) <= 30, largest at (x, y) = (1, 5). So the
+    census is complete by that bound; the count of five is asserted in
+    tests only.
+    """
+    return sorted(Triangle(x + y, x + z, y + z) for x, y, z in _not_abundant(60)
+                  if x * y * z == 4 * (x + y + z))
 
 
 def deficient_triangles(p_max: int) -> list[Triangle]:
-    """Heronian triangles with perimeter <= p_max and perimeter > area.
-
-    Perimeter > area is equivalent to 4*(x+y+z) > x*y*z. With
-    x <= y <= z that inequality forces x*y <= 11, and once x*y >= 5 it
-    caps z below 4*(x+y)/(x*y - 4); for x*y <= 4 it holds for every z,
-    so z runs to the semiperimeter cap. The region scanned is therefore
-    exactly the set of deficient triples with perimeter <= p_max.
-    """
-    s_max = p_max // 2
-    found = []
-    for x in range(1, 4):  # x*x <= x*y <= 11
-        for y in range(x, 11 // x + 1):
-            z_hi = s_max - x - y
-            q = x * y - 4
-            if q > 0:
-                z_hi = min(z_hi, (4 * (x + y) - 1) // q)  # z < 4(x+y)/q
-            for z in range(y, z_hi + 1):
-                if perfect_square_root((x + y + z) * x * y * z) is not None:
-                    found.append(Triangle(x + y, x + z, y + z))
-    found.sort()
-    return found
+    """Heronian triangles with perimeter <= p_max and perimeter > area:
+    the strict cases x*y*z < 4*(x+y+z) of _not_abundant's region."""
+    return sorted(Triangle(x + y, x + z, y + z) for x, y, z in _not_abundant(p_max)
+                  if x * y * z < 4 * (x + y + z))

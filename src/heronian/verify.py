@@ -169,7 +169,7 @@ def check_lemma3(p_max: int) -> TheoremReport:
 
     Scans every Heronian triangle with perimeter <= p_max whose
     perimeter exceeds its area (the deficiency inequality itself bounds
-    that search region; see deficient_triangles) and checks the
+    that search region; see enumeration._not_abundant) and checks the
     coordinate bounds hold for each one.
     """
     if p_max < 1:
@@ -204,7 +204,7 @@ def check_theorem2(n: int, p_max: int) -> TheoremReport:
     for t in deficient_triangles(p_max):
         d = decompose(t)
         # x <= 3 and y <= 9 are tested, not assumed, so that the
-        # survivors do not rest on lemma 3 (the scan reaches y = 11)
+        # survivors do not rest on lemma 3 (the region's scan reaches y = 12)
         if d.x > 3 or d.y > 9 or heron_area(t) % 2:
             continue
         if check_theorem1_divisibility(d.x, d.y, d.z, n):

@@ -300,6 +300,14 @@ def test_catalog_info_undecodable_json(tmp_path, capsys, line, detail):
     assert len(err.splitlines()) == 1
 
 
+def test_catalog_build_empty_bound_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    code, out, err = run_cli(["catalog", "build", "--p-max", "0", "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "p_max must be at least 1" in err
+    assert not path.exists()
+
+
 def test_catalog_build_missing_flags(capsys):
     code, _, _ = run_cli(["catalog", "build", "--p-max", "10"], capsys)
     assert code == 2

@@ -16,6 +16,14 @@ from heronian.core import (
     perfect_square_root,
     recompose,
 )
+from heronian.catalog import CatalogRecord
+from heronian.cycles import (
+    ChainDirection,
+    ConcreteCycle,
+    predecessors,
+    successors,
+    trace_chain,
+)
 
 
 def test_isqrt_small_values():
@@ -214,3 +222,19 @@ def test_plain_classify_is_the_enum_value():
 def test_classify_rejects_non_heronian():
     with pytest.raises(ValueError):
         classify(Triangle(5, 5, 5))
+
+
+@pytest.mark.parametrize("entry", [
+    classify,
+    successors,
+    predecessors,
+    lambda t: trace_chain(t, ChainDirection.SUCCESSOR, 1),
+    lambda t: ConcreteCycle((t,)),
+    CatalogRecord.from_triangle,
+], ids=["classify", "successors", "predecessors", "trace_chain", "ConcreteCycle",
+        "CatalogRecord.from_triangle"])
+@pytest.mark.parametrize("t", [Triangle(2, 3, 4), Triangle(2, 3, 3)],
+                         ids=["odd-perimeter", "sxyz-8"])
+def test_every_entry_point_refuses_a_non_heronian_triangle(entry, t):
+    with pytest.raises(ValueError, match="is not Heronian"):
+        entry(t)

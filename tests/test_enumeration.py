@@ -24,6 +24,7 @@ from heronian.enumeration import (
     _MR_CERTIFIED_BELOW,
     _factorize,
     _kernel_join,
+    _not_abundant,
     _parity_hashes,
     area_perimeter_bound,
     deficient_triangles,
@@ -351,8 +352,8 @@ def test_equable_census():
 
 
 def test_equable_region_is_equable_without_a_heron_check():
-    # equable_triangles keeps every integer z >= y of this region unchecked,
-    # since x*y*z = 4s gives area^2 = s*x*y*z = (2s)^2; pin that here
+    # every integer z >= y of this region is equable with no square-root
+    # test, since x*y*z = 4s gives area^2 = s*x*y*z = (2s)^2; pin that here
     region = []
     for x in range(1, 13):
         for y in range(x, 13):
@@ -364,6 +365,22 @@ def test_equable_region_is_equable_without_a_heron_check():
                     assert heron_area(t) == t.perimeter
                     region.append(t)
     assert sorted(region) == equable_triangles()
+
+
+@pytest.mark.parametrize("p_max", [0, 11, 12, 60, 400])
+def test_not_abundant_region_matches_the_naive_scan(p_max):
+    expected = []
+    for a, b, c, area in naive_triangle_scan(p_max):
+        s = (a + b + c) // 2
+        if area <= 2 * s:
+            expected.append((s - c, s - b, s - a))
+    assert list(_not_abundant(p_max)) == sorted(expected)
+
+
+def test_not_abundant_equality_cases_stop_at_perimeter_60():
+    equal = [Triangle(x + y, x + z, y + z) for x, y, z in _not_abundant(2000)
+             if x * y * z == 4 * (x + y + z)]
+    assert sorted(equal) == equable_triangles()
 
 
 def test_deficient_contains_the_candidates():
