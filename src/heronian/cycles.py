@@ -16,6 +16,7 @@ from functools import lru_cache
 from heronian.core import Classification, Triangle, _area, classify, heron_area
 from heronian.enumeration import (
     _kernel_join,
+    _perimeter_triangles,
     triangles_with_area,
     triangles_with_perimeter,
 )
@@ -135,8 +136,10 @@ def trace_chain(
     dead-end when the next step is empty, cycle-closed when it would
     revisit one of its own members (the revisited member is appended as
     the final step), and bound-hit when the budget runs out first. A
-    successor-ward leaf whose link is a multiple of 12 is bound-hit
-    without listing its neighbours, as one of them is always there.
+    successor-ward leaf at the bound only asks whether a neighbour
+    exists, so it lists none: it is bound-hit at once when its link is a
+    multiple of 12, as one is always there, else at the first triangle
+    with that perimeter, and dead-end only when there is none.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -149,9 +152,10 @@ def trace_chain(
         steps, end = stack.pop()
         if end is None:
             link = steps[-1][1]
-            if forward and link % 12 == 0 and len(steps) > max_steps:
+            if forward and len(steps) > max_steps:
                 # (A/4, A/3, 5A/12) is a Heronian 3-4-5 triangle with perimeter A
-                end = ChainEnd.BOUND_HIT
+                found = link % 12 == 0 or next(_perimeter_triangles(link), None) is not None
+                end = ChainEnd.BOUND_HIT if found else ChainEnd.DEAD_END
             elif not (nxt := neighbours(link)):
                 end = ChainEnd.DEAD_END
             elif len(steps) > max_steps:
@@ -166,6 +170,11 @@ def trace_chain(
                 continue
         traces.append(ChainTrace(direction, steps, end))
     return tuple(traces)
+
+
+# (bound, trimmed rows) of the largest core joined so far; every smaller
+# core is derived from these rows (see _cycle_core).
+_largest_core: tuple[int, list[tuple[int, int, int, int, int]]] = (0, [])
 
 
 @lru_cache(maxsize=8)
@@ -185,13 +194,35 @@ def _cycle_core(p_max: int) -> tuple[tuple[Triangle, ...], dict]:
     set in which every vertex has both, so no vertex on a closed walk is
     lost. Triangles are built only for the kept rows, and the rows'
     exact areas leave heron_area's cache alone.
+
+    Cores nest, so only a bound above every bound joined so far pays for
+    a join; any other core is trimmed from the largest core's rows. For
+    P <= P*, with box(P) the rows of perimeter <= P and area <= P,
+    core(P) = trim(core(P*) & box(P)):
+    - the join's rows at P are exactly the rows at P* in box(P), in the
+      same (perimeter, a, b, c) order;
+    - core(P) is a closed subset (every row has a successor and a
+      predecessor among them) of rows(P), a subset of rows(P*), so it
+      lies in core(P*), the greatest closed subset of rows(P*); hence
+      core(P) lies in core(P*) & box(P);
+    - trimming keeps every closed subset of the set it starts from, so
+      core(P) as well, and ends in a closed subset of rows(P), which
+      lies in core(P); so the two are equal.
     """
-    rows, kept = None, _kernel_join(0, p_max + 1, p_max, s_step=3)
+    global _largest_core
+    bound, largest = _largest_core
+    if p_max <= bound:
+        kept = [row for row in largest if 2 * row[0] <= p_max and row[4] <= p_max]
+    else:
+        kept = _kernel_join(0, p_max + 1, p_max, s_step=3)
+    rows = None
     while kept != rows:
         rows = kept
         perimeters = {2 * row[0] for row in rows}
         areas = {row[4] for row in rows}
         kept = [row for row in rows if row[4] in perimeters and 2 * row[0] in areas]
+    if p_max > bound:
+        _largest_core = (p_max, rows)
 
     vertices = sorted((Triangle(x + y, x + z, y + z), area) for _, x, y, z, area in rows)
     by_perimeter: dict[int, list[Triangle]] = {}

@@ -59,17 +59,25 @@ def triangles_with_perimeter(p: int) -> list[Triangle]:
 
     Odd perimeters have no Heronian triangles (the semiperimeter would
     not be an integer) and give an empty list.
+    """
+    return list(_perimeter_triangles(p))
+
+
+def _perimeter_triangles(p: int):
+    """Yield the Heronian triangles with perimeter p, sorted by side
+    triple, so a caller that needs only the first stops the scan there.
 
     With u = x + y and z = s - u, s*x*y*z is a square exactly when
     x*y = K*t^2 with K = ker(s*z), i.e. (y - x)^2 = u^2 - 4*K*t^2. So for
     each u with z >= ceil(u/2), t runs while 4*K*t^2 <= u^2 (equality is
     x = y), one perfect-square test each; K is usually large, so few t.
+    Sorted because a = u ascends, and b = z + (u - d)/2 rises with t as
+    d = y - x shrinks.
     """
     if p < 3 or p % 2:
-        return []
+        return
     s = p // 2
     ker = _squarefree_kernels(s)
-    found = []
     for u in range(2, 2 * s // 3 + 1):  # 3u <= 2s, i.e. z >= ceil(u/2)
         z = s - u
         g = gcd(ker[s], ker[z])
@@ -79,9 +87,8 @@ def triangles_with_perimeter(p: int) -> list[Triangle]:
         while k4 * t * t <= u2:
             d = perfect_square_root(u2 - k4 * t * t)  # y - x
             if d is not None and u + d <= 2 * z:  # y <= z
-                found.append(Triangle(u, z + (u - d) // 2, z + (u + d) // 2))
+                yield Triangle(u, z + (u - d) // 2, z + (u + d) // 2)
             t += 1
-    return found  # sorted: a = u ascends, and b = z + (u - d)/2 rises with t as d shrinks
 
 
 def _squarefree_kernels(n: int) -> list[int]:

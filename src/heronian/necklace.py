@@ -11,10 +11,10 @@ form with the pairs written first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from heronian.core import Triangle
 from heronian.cycles import ConcreteCycle, canonical_rotation
+from heronian.enumeration import _divisors, _factorize
 
 __all__ = [
     "CycleWord",
@@ -123,15 +123,35 @@ def count_words(n: int) -> int:
     Cyclic arrangements of W and UV blocks filling n marked positions
     are counted by the Lucas number L_n; one fixed by rotation through j
     positions repeats with period gcd(j, n), so Burnside's lemma gives
-    (1/n) * sum_{d | n} phi(n/d) * L_d classes, written below as the
-    equal sum of L_gcd(j, n) over j. The one all-W word is subtracted.
+    (1/n) * sum_{d | n} phi(n/d) * L_d classes, over the divisors of n
+    from its factorization. The one all-W word is subtracted.
     """
     if n < 1:
         raise ValueError("word length must be at least 1")
-    lucas = [2, 1]
-    while len(lucas) <= n:
-        lucas.append(lucas[-1] + lucas[-2])
-    return sum(lucas[gcd(j, n)] for j in range(n)) // n - 1
+    factors = _factorize(n)
+    total = 0
+    for d in _divisors(factors):
+        phi = m = n // d  # phi(m) = m * prod (1 - 1/p) over the primes p | m
+        for p in factors:
+            if m % p == 0:
+                phi = phi // p * (p - 1)
+        total += phi * _lucas(d)
+    return total // n - 1
+
+
+def _lucas(n: int) -> int:
+    """The Lucas number L_n (L_0 = 2, L_1 = 1), by fast doubling on the
+    bits of n with L_(2k) = L_k^2 - 2(-1)^k and
+    L_(2k+1) = L_k * L_(k+1) - (-1)^k, so only two numbers are held."""
+    lk, lk1, k = 2, 1, 0  # (L_k, L_(k+1)), k being the bits of n read so far
+    for bit in bin(n)[2:]:
+        sign = -1 if k % 2 else 1  # (-1)^k
+        lk, lk1 = lk * lk - 2 * sign, lk * lk1 - sign
+        k *= 2
+        if bit == "1":
+            lk, lk1 = lk1, lk + lk1
+            k += 1
+    return lk
 
 
 def replacement_family(n: int) -> list[CycleWord]:

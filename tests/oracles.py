@@ -96,17 +96,20 @@ def area_divisor_oracle(area: int) -> list[tuple[int, int, int]]:
 
 
 def trace_chain_oracle(
-    sides: tuple[int, int, int], successor: bool, max_steps: int
+    sides: tuple[int, int, int], successor: bool, max_steps: int, step=None
 ) -> list[tuple[tuple[tuple[tuple[int, int, int], int], ...], str]]:
     """Every root-to-leaf chain path from the triangle with these sides,
     as (steps, end) with steps the (sides, link) pairs and end one of
     "dead-end", "cycle-closed" or "bound-hit", in depth-first order with
     branches sorted by side triple: the recursive walk trace_chain used
-    before it kept an explicit stack. Successor-ward a link is the area
-    and its neighbours are perimeter_scan_oracle(area); predecessor-ward
-    the link is the perimeter and its neighbours area_divisor_oracle of
-    it."""
-    step = perimeter_scan_oracle if successor else area_divisor_oracle
+    before it kept an explicit stack, listing the neighbours of every
+    step, leaves included. Successor-ward a link is the area and its
+    neighbours are perimeter_scan_oracle(area); predecessor-ward the
+    link is the perimeter and its neighbours area_divisor_oracle of it.
+    A given step(link) lists the neighbours instead, for links too large
+    to scan."""
+    if step is None:
+        step = perimeter_scan_oracle if successor else area_divisor_oracle
 
     def link(t: tuple[int, int, int]) -> int:
         return naive_integer_area(*t) if successor else sum(t)
@@ -170,6 +173,16 @@ def block_words_oracle(n: int) -> set[str]:
             if len(w) + 2 <= n:
                 stack.append(w + "UV")
     return classes
+
+
+def count_words_oracle(n: int) -> int:
+    """Number of cycle words of length n by Burnside's lemma summed over
+    every rotation j, with every Lucas number up to L_n in a list: the
+    count_words in use before it summed over the divisors of n."""
+    lucas = [2, 1]
+    while len(lucas) <= n:
+        lucas.append(lucas[-1] + lucas[-2])
+    return sum(lucas[math.gcd(j, n)] for j in range(n)) // n - 1
 
 
 def trial_division_factorize(n: int) -> dict[int, int]:

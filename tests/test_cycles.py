@@ -1,9 +1,11 @@
+import functools
 import random
 
 import pytest
 
 from oracles import area_divisor_oracle, perimeter_scan_oracle, trace_chain_oracle
 
+from heronian import cycles
 from heronian.core import Classification, Triangle, classify, heron_area
 from heronian.cycles import (
     ChainDirection,
@@ -19,6 +21,8 @@ from heronian.cycles import (
     _cycle_core,
 )
 from heronian.enumeration import (
+    _kernel_join,
+    _perimeter_triangles,
     equable_triangles,
     triangles_with_area,
     triangles_with_perimeter,
@@ -136,20 +140,64 @@ def test_successor_traces_match_recursive_oracle():
     assert count == 266
 
 
+def count_neighbour_queries(monkeypatch):
+    """Perimeters whose triangles trace_chain lists in full, and those it
+    only asks for a first triangle, through counting wrappers."""
+    listed, probed = [], []
+
+    def listing(p):
+        listed.append(p)
+        return triangles_with_perimeter(p)
+
+    def probing(p):
+        probed.append(p)
+        return _perimeter_triangles(p)
+
+    monkeypatch.setattr("heronian.cycles.triangles_with_perimeter", listing)
+    monkeypatch.setattr("heronian.cycles._perimeter_triangles", probing)
+    return listed, probed
+
+
 def test_successor_leaves_with_link_divisible_by_12_are_not_queried(monkeypatch):
     # a leaf link A with 12 | A has the 3-4-5 triangle (A/4, A/3, 5A/12) of
     # perimeter A, so U's successors at 54 (areas 36, 90, 126, 108) leave
-    # only the two links that are 6 mod 12 to query
+    # only the two links that are 6 mod 12 to query, and those only for a
+    # first triangle
     expected = trace_chain_oracle(U.sides, True, 1)
-    queried = []
-
-    def counting(p):
-        queried.append(p)
-        return triangles_with_perimeter(p)
-
-    monkeypatch.setattr("heronian.cycles.triangles_with_perimeter", counting)
+    listed, probed = count_neighbour_queries(monkeypatch)
     assert library_traces(U.sides, ChainDirection.SUCCESSOR, 1) == expected
-    assert queried == [54, 90, 126]
+    assert listed == [54]
+    assert probed == [90, 126]
+
+
+@functools.cache
+def listed_sides(p):
+    return [t.sides for t in triangles_with_perimeter(p)]
+
+
+@pytest.mark.parametrize("p_max, max_steps, step", [
+    (40, 2, perimeter_scan_oracle),
+    # past these bounds the scans of the leaves' links take minutes, so the
+    # referee walks the full listings, which test_enumeration checks
+    # against the scan: every leaf is decided as the full listing decides it
+    (120, 1, listed_sides),
+    (50, 2, listed_sides),
+], ids=["scan-40-2", "listing-120-1", "listing-50-2"])
+def test_successor_leaves_are_never_listed(monkeypatch, p_max, max_steps, step):
+    starts = [t for p in range(p_max + 1) for t in perimeter_scan_oracle(p)]
+    expected = [trace for sides in starts
+                for trace in trace_chain_oracle(sides, True, max_steps, step)]
+    listed, probed = count_neighbour_queries(monkeypatch)
+    assert [trace for sides in starts
+            for trace in library_traces(sides, ChainDirection.SUCCESSOR, max_steps)] == expected
+    # every step within the budget is listed once; a leaf at the bound is
+    # only probed, and only when its link is not a multiple of 12
+    inner = {steps[:k] for steps, end in expected
+             for k in range(1, min(len(steps) - (end == "cycle-closed"), max_steps) + 1)}
+    leaves = [steps[-1][1] for steps, end in expected
+              if end != "cycle-closed" and len(steps) > max_steps]
+    assert sorted(listed) == sorted(steps[-1][1] for steps in inner)
+    assert sorted(probed) == sorted(link for link in leaves if link % 12)
 
 
 def test_concrete_cycle_validation():
@@ -307,13 +355,77 @@ def per_area_core(p_max):
     return tuple(sorted(alive)), succ
 
 
+def cold_core(p_max):
+    """_cycle_core(p_max) joined from scratch: the LRU cleared and the
+    stored largest core reset, so nothing is derived."""
+    cycles._largest_core = (0, [])
+    _cycle_core.cache_clear()
+    return _cycle_core(p_max)
+
+
 @pytest.mark.parametrize("p_max", [1, 35, 36, 100, 999, 1732, 2000, 4750])
 def test_cycle_core_matches_per_area_core(p_max):
+    assert cold_core(p_max) == per_area_core(p_max)
+
+
+@pytest.mark.parametrize("p_max", [1, 35, 36, 100, 999, 1732, 2000, 4750])
+def test_derived_cycle_core_matches_per_area_core(p_max):
+    cold_core(4750)
     _cycle_core.cache_clear()
     assert _cycle_core(p_max) == per_area_core(p_max)
+    assert cycles._largest_core[0] == 4750  # derived from the stored core, not joined
 
 
-def test_cold_core_builds_triangles_only_for_its_vertices(monkeypatch):
+# the 16 query-mix cycle bounds, and the edges of the core's growth
+CORE_BOUNDS = list(range(1000, 5000, 250)) + [1, 35, 36, 54, 1732, 10000]
+
+
+def test_derived_cores_equal_cold_cores_in_any_order():
+    cold = {p_max: cold_core(p_max) for p_max in CORE_BOUNDS}
+    shuffled = random.Random(2026).sample(CORE_BOUNDS, len(CORE_BOUNDS))
+    for order in (sorted(CORE_BOUNDS), sorted(CORE_BOUNDS, reverse=True), shuffled):
+        cycles._largest_core = (0, [])
+        for p_max in order:
+            _cycle_core.cache_clear()  # every call builds, joined or derived
+            assert _cycle_core(p_max) == cold[p_max], (order, p_max)
+
+
+def test_derived_core_trims_what_the_box_leaves_open(monkeypatch):
+    # the stored core's 8 rows stay closed in every box up to 10000, so only
+    # a stored superset shows the derived trim at work: the join's raw rows
+    # at P* cut by box(P) are the rows at P, which trim to core(P)
+    cold = {p_max: cold_core(p_max) for p_max in CORE_BOUNDS if p_max <= 4750}
+    monkeypatch.setattr(cycles, "_largest_core", (4750, _kernel_join(0, 4751, 4750, s_step=3)))
+    for p_max, core in cold.items():
+        _cycle_core.cache_clear()
+        assert _cycle_core(p_max) == core, p_max
+
+
+def test_kernel_join_runs_only_for_a_new_largest_bound(monkeypatch):
+    joined = []
+
+    def counting_join(*args, **kwargs):
+        joined.append(args[1] - 1)  # hi = p_max + 1
+        return _kernel_join(*args, **kwargs)
+
+    monkeypatch.setattr("heronian.cycles._kernel_join", counting_join)
+    monkeypatch.setattr(cycles, "_largest_core", (0, []))
+    for p_max in sorted(CORE_BOUNDS, reverse=True):
+        _cycle_core.cache_clear()
+        _cycle_core(p_max)
+    assert joined == [10000]
+
+    joined.clear()
+    monkeypatch.setattr(cycles, "_largest_core", (0, []))
+    for p_max in sorted(CORE_BOUNDS) + sorted(CORE_BOUNDS):
+        _cycle_core.cache_clear()
+        _cycle_core(p_max)
+    assert joined == sorted(CORE_BOUNDS)  # once per new maximum, never again
+
+
+def count_triangles_built(monkeypatch, p_max):
+    """Triangles that _cycle_core(p_max) builds, counted through a wrapper
+    that is gone again before the test ends."""
     built = []
 
     def counting_triangle(*sides):
@@ -323,16 +435,38 @@ def test_cold_core_builds_triangles_only_for_its_vertices(monkeypatch):
     monkeypatch.setattr("heronian.cycles.Triangle", counting_triangle)
     _cycle_core.cache_clear()
     try:
-        core, _ = _cycle_core(4750)
+        core, _ = _cycle_core(p_max)
     finally:
         _cycle_core.cache_clear()  # no core built through the wrapper outlives the test
+    return core, built
+
+
+def test_cold_core_builds_triangles_only_for_its_vertices(monkeypatch):
+    monkeypatch.setattr(cycles, "_largest_core", (0, []))
+    core, built = count_triangles_built(monkeypatch, 4750)
+    assert len(core) == 8
+    assert len(built) == len(core)
+
+
+def test_derived_core_builds_triangles_only_for_its_vertices(monkeypatch):
+    cold_core(10000)
+    core, built = count_triangles_built(monkeypatch, 4750)
+    assert cycles._largest_core[0] == 10000
     assert len(core) == 8
     assert len(built) == len(core)
 
 
 def test_cold_core_leaves_heron_area_cache_alone():
     # the join's rows carry each vertex's area, so the core needs no heron_area
+    before = heron_area.cache_info()
+    cold_core(2000)
+    assert heron_area.cache_info() == before  # no call at all: no hit, no miss
+
+
+def test_derived_core_leaves_heron_area_cache_alone():
+    cold_core(4750)
     _cycle_core.cache_clear()
     before = heron_area.cache_info()
     _cycle_core(2000)
-    assert heron_area.cache_info() == before  # no call at all: no hit, no miss
+    assert cycles._largest_core[0] == 4750
+    assert heron_area.cache_info() == before

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import block_words_oracle, words_oracle
+from oracles import block_words_oracle, count_words_oracle, words_oracle
 
 from heronian.core import Triangle
 from heronian.cycles import ConcreteCycle, find_cycles
@@ -67,6 +67,11 @@ def test_count_words():
     assert [count_words(n) for n in range(1, 9)] == [0, 1, 1, 2, 2, 4, 4, 7]
     with pytest.raises(ValueError):
         count_words(0)
+
+
+def test_count_words_matches_sum_over_rotations():
+    for n in range(1, 2001):
+        assert count_words(n) == count_words_oracle(n), n
 
 
 def test_count_words_closed_form_matches_enumeration():
