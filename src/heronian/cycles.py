@@ -5,6 +5,11 @@ perimeter of the next". An n-sociable cycle is a closed walk of length n
 under that relation (members may repeat) that is not made of equable
 triangles only, considered up to rotation. The relation is directed, so
 rotation is the only equivalence; reversal is not.
+
+One generator, _least_rotation_walks, lists the closed walks of any
+small ordered graph one rotation class at a time, as least rotations in
+ascending order. It serves both listings: closed_walks over the cycle
+core's triangles, and necklace.enumerate_words over the U/V/W graph.
 """
 
 from __future__ import annotations
@@ -37,7 +42,10 @@ __all__ = [
 
 
 def canonical_rotation(members: tuple | str) -> tuple | str:
-    """Lexicographically least rotation of a tuple or a string."""
+    """Lexicographically least rotation of a tuple or a string; an empty
+    one is its own least rotation."""
+    if not members:
+        return members
     least = min(members)  # the least rotation starts at an occurrence of it
     return min(members[i:] + members[:i] for i, m in enumerate(members) if m == least)
 
@@ -232,9 +240,54 @@ def _cycle_core(p_max: int) -> tuple[tuple[Triangle, ...], dict]:
     return tuple(succ), succ
 
 
+def _least_rotation_walks(succ: dict, n: int):
+    """Yield each rotation class of length-n closed walks in the graph
+    succ, as its least rotation (a tuple), in ascending order.
+
+    succ maps every vertex to a tuple or string of its successors, keys
+    and successors alike in ascending order. This is the
+    Fredricksen-Kessler-Maiorana prenecklace search restricted to paths,
+    i.e. FKM with the non-edges as forbidden substrings (cf. Ruskey and
+    Sawada, "Generating necklaces and strings with forbidden
+    substrings", 2000). A prefix
+    with period p takes next any successor u of its last vertex with
+    u >= the entry p places back; u equal to that entry keeps p, a
+    larger u makes p the new prefix length. A full prefix is yielded
+    when p divides n and its last vertex links to its first.
+
+    Why this is every class exactly once, least rotation first:
+    - unrestricted, the search visits every prenecklace once, in
+      lexicographic order, and a full prenecklace is a necklace (the
+      least rotation of its class) exactly when p divides n;
+    - a class's least rotation is a closed walk exactly when the class
+      is, and every prefix of a walk is a path, so cutting the branches
+      that are not paths loses no such necklace;
+    - the closing link completes the path to a closed walk.
+
+    One explicit stack of (vertex, period, position) and one walk buffer
+    carry the search, so n is not bounded by the recursion limit.
+    """
+    walk = [None] * n
+    # successors pushed in descending order, so the least one is popped first
+    descending = {v: nxt[::-1] for v, nxt in succ.items()}
+    stack = [(v, 1, 0) for v in reversed(succ)]
+    while stack:
+        v, p, i = stack.pop()
+        walk[i] = v
+        i += 1
+        if i < n:
+            floor = walk[i - p]
+            for u in descending[v]:
+                if u >= floor:
+                    stack.append((u, p if u == floor else i + 1, i))
+        elif n % p == 0 and walk[0] in succ[v]:
+            yield tuple(walk)
+
+
 def closed_walks(n: int, p_max: int) -> list[tuple[Triangle, ...]]:
     """All length-n closed walks of the successor graph, one canonical
-    rotation per rotation class, members bounded by p_max in perimeter.
+    rotation per rotation class, members bounded by p_max in perimeter,
+    in ascending order.
 
     This is the raw search result: all-equable walks (the constant walk
     on an equable triangle) are still included; find_cycles filters
@@ -244,18 +297,7 @@ def closed_walks(n: int, p_max: int) -> list[tuple[Triangle, ...]]:
         raise ValueError("cycle length must be at least 1")
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    core, succ = _cycle_core(p_max)
-    found: set[tuple[Triangle, ...]] = set()
-    for v0 in core:
-        stack = [(v0,)]  # an explicit stack, so n is not bounded by the recursion limit
-        while stack:
-            path = stack.pop()
-            if len(path) == n:
-                if v0 in succ[path[-1]]:
-                    found.add(canonical_rotation(path))
-            else:  # v0 is the minimal member of any walk it anchors
-                stack.extend(path + (u,) for u in succ[path[-1]] if u >= v0)
-    return sorted(found)
+    return list(_least_rotation_walks(_cycle_core(p_max)[1], n))
 
 
 def find_cycles(n: int, p_max: int) -> list[ConcreteCycle]:

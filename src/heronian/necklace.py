@@ -6,6 +6,11 @@ word where U stands for (9, 12, 15), V for (3, 25, 26) and W for
 at least one pair must be present. Words are kept in canonical form:
 the lexicographically least rotation under U < V < W, which is also the
 form with the pairs written first.
+
+The words are the closed walks of the successor graph on the three
+triangles: U -> V, V -> U, V -> W, W -> U and W -> W. enumerate_words
+lists them with the same generator as the concrete cycles,
+cycles._least_rotation_walks.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from heronian.core import Triangle
-from heronian.cycles import ConcreteCycle, canonical_rotation
+from heronian.cycles import ConcreteCycle, _least_rotation_walks, canonical_rotation
 from heronian.enumeration import _divisors, _factorize
 
 __all__ = [
@@ -30,6 +35,11 @@ TRIANGLE_FOR_SYMBOL = {
     "V": Triangle(3, 25, 26),
     "W": Triangle(9, 10, 17),
 }
+
+# The link relation on TRIANGLE_FOR_SYMBOL (area of one = perimeter of
+# the next): U's area 54 is V's perimeter, and the area 36 of V and of W
+# is the perimeter of U and of W.
+_WORD_SUCCESSORS = {"U": "V", "V": "UW", "W": "UW"}
 
 
 @dataclass(frozen=True, order=True)
@@ -65,56 +75,20 @@ class CycleWord:
         return self.symbols
 
 
-def _gap_necklaces(k: int, total: int) -> list[tuple[int, ...]]:
-    """Every necklace of k >= 1 non-negative gaps summing to total, each
-    as its lexicographically least rotation.
-
-    FKM recursion (Fredricksen, Kessler, Maiorana): position t takes
-    values from gaps[t - p] up, p being the period of the Lyndon prefix
-    so far, and a full prefix is a necklace when p divides k. Since no
-    entry of a necklace is below its first, the values still to place
-    need at least (k - t) * gaps[1] of the remaining sum, which prunes
-    the search; the last gap is whatever remains. Depth is k.
-    """
-    gaps = [0] * (k + 1)  # 1-based; gaps[0] is the floor for position 1
-    found: list[tuple[int, ...]] = []
-
-    def extend(t: int, p: int, rest: int) -> None:
-        floor = gaps[t - p]
-        if t == k:
-            if rest >= floor and k % (p if rest == floor else k) == 0:
-                gaps[k] = rest
-                found.append(tuple(gaps[1:]))
-            return
-        top = rest // (k - t + 1) if t == 1 else rest - (k - t) * gaps[1]
-        for v in range(floor, top + 1):
-            gaps[t] = v
-            extend(t + 1, p if v == floor else t, rest - v)
-
-    extend(1, 1, total)
-    return found
-
-
 def enumerate_words(n: int) -> list[CycleWord]:
     """All valid cycle words of length n, one per rotation class, sorted.
 
-    Valid words decompose uniquely into UV blocks and W blocks. With k
-    UV blocks, every rotation starting on a U reads UV W^g1 ... UV W^gk,
-    and as U < W a shorter run of W's compares smaller, so the least
-    rotation of the word is the one whose gap sequence (g1, ..., gk) is
-    least. The words are therefore exactly the necklaces of k >= 1
-    non-negative gaps summing to n - 2k, generated directly rather than
-    by canonicalizing every block string; each still goes through
+    A cyclic word is valid exactly when it is a closed walk of the
+    U/V/W successor graph that holds a U: each U is followed by V, each
+    V preceded by U, and W's may follow V or W. The only closed walk
+    with no U is the all-W one, as V is reached only from U, and W is
+    equable, so it is dropped. The generator yields each class once, as
+    its least rotation, in ascending order; each word still goes through
     CycleWord's validation.
     """
     if n < 1:
         raise ValueError("word length must be at least 1")
-    words = sorted(
-        "".join("UV" + "W" * g for g in gaps)
-        for k in range(1, n // 2 + 1)
-        for gaps in _gap_necklaces(k, n - 2 * k)
-    )
-    return [CycleWord(w) for w in words]
+    return [CycleWord("".join(w)) for w in _least_rotation_walks(_WORD_SUCCESSORS, n) if "U" in w]
 
 
 def count_words(n: int) -> int:

@@ -175,6 +175,38 @@ def block_words_oracle(n: int) -> set[str]:
     return classes
 
 
+def closed_walks_oracle(succ: dict, n: int) -> list[tuple]:
+    """Every rotation class of length-n closed walks in the graph succ
+    (each vertex to its successors), as its least rotation, sorted: the
+    anchor search closed_walks used before it shared one generator with
+    the words. From each anchor vertex v0 a depth-first search extends
+    paths by successors >= v0 (v0 is the least member of any walk it
+    anchors), keeps the closed ones, and a set dedupes their rotations."""
+    found = set()
+    for v0 in succ:
+        stack = [(v0,)]
+        while stack:
+            path = stack.pop()
+            if len(path) == n:
+                if v0 in succ[path[-1]]:
+                    found.add(min(path[i:] + path[:i] for i in range(n)))
+            else:
+                stack.extend(path + (u,) for u in succ[path[-1]] if u >= v0)
+    return sorted(found)
+
+
+def closed_walks_brute_oracle(succ: dict, n: int) -> list[tuple]:
+    """The same classes as closed_walks_oracle, by testing every one of
+    the |V|^n vertex sequences for a closed walk."""
+    import itertools
+
+    found = set()
+    for walk in itertools.product(sorted(succ), repeat=n):
+        if all(walk[(i + 1) % n] in succ[v] for i, v in enumerate(walk)):
+            found.add(min(walk[i:] + walk[:i] for i in range(n)))
+    return sorted(found)
+
+
 def count_words_oracle(n: int) -> int:
     """Number of cycle words of length n by Burnside's lemma summed over
     every rotation j, with every Lucas number up to L_n in a list: the

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from oracles import area_divisor_oracle, perimeter_scan_oracle, trace_chain_oracle
+from oracles import (
+    area_divisor_oracle,
+    closed_walks_brute_oracle,
+    closed_walks_oracle,
+    perimeter_scan_oracle,
+    trace_chain_oracle,
+)
 
 from heronian import cycles
 from heronian.core import Classification, Triangle, classify, heron_area
@@ -19,6 +25,7 @@ from heronian.cycles import (
     successors,
     trace_chain,
     _cycle_core,
+    _least_rotation_walks,
 )
 from heronian.enumeration import (
     _kernel_join,
@@ -220,6 +227,11 @@ def test_canonical_rotation():
     assert canonical_rotation((W, U, V)) == (V, W, U)
 
 
+def test_canonical_rotation_of_an_empty_sequence_is_itself():
+    assert canonical_rotation(()) == ()
+    assert canonical_rotation("") == ""
+
+
 def brute_rotation(members):
     return min(members[i:] + members[:i] for i in range(len(members)))
 
@@ -323,6 +335,29 @@ def test_long_walks_do_not_hit_the_recursion_limit():
     assert closed_walks(1200, 30) == [(Triangle(5, 12, 13),) * 1200,
                                       (Triangle(6, 8, 10),) * 1200]
     assert find_cycles(1200, 30) == []
+
+
+def test_least_rotation_walks_match_brute_force_on_random_graphs():
+    rng = random.Random(2100)
+    for i in range(300):
+        vertices = sorted(rng.sample(range(10), rng.randint(1, 5)))
+        succ = {v: tuple(u for u in vertices if rng.random() < 0.5) for v in vertices}
+        n = 1 + i % 7
+        walks = list(_least_rotation_walks(succ, n))
+        assert walks == closed_walks_brute_oracle(succ, n), (succ, n)
+        assert walks == closed_walks_oracle(succ, n), (succ, n)
+
+
+def test_least_rotation_walks_do_not_recurse():
+    # 5000 levels would exceed the default recursion limit of 1000
+    assert list(_least_rotation_walks({0: (0,)}, 5000)) == [(0,) * 5000]
+
+
+@pytest.mark.parametrize("p_max", [30, 54, 200, 1732, 2000, 10000])
+def test_closed_walks_match_the_anchor_search(p_max):
+    _, succ = _cycle_core(p_max)
+    for n in range(1, 13):
+        assert closed_walks(n, p_max) == closed_walks_oracle(succ, n), (n, p_max)
 
 
 def test_cycle_members_satisfy_vertex_bounds():

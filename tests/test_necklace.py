@@ -2,10 +2,12 @@ import pytest
 
 from oracles import block_words_oracle, count_words_oracle, words_oracle
 
-from heronian.core import Triangle
+from heronian.core import Triangle, heron_area
 from heronian.cycles import ConcreteCycle, find_cycles
 from heronian.necklace import (
+    TRIANGLE_FOR_SYMBOL,
     CycleWord,
+    _WORD_SUCCESSORS,
     count_words,
     enumerate_words,
     expand,
@@ -129,8 +131,17 @@ def test_expand_is_sound_for_all_words():
             assert len(cycle) == n
 
 
+def test_word_successors_are_the_link_relation_of_the_triangles():
+    T = TRIANGLE_FOR_SYMBOL
+    assert list(_WORD_SUCCESSORS) == sorted(T)
+    for a in T:
+        assert list(_WORD_SUCCESSORS[a]) == sorted(_WORD_SUCCESSORS[a])
+        for b in T:
+            assert (b in _WORD_SUCCESSORS[a]) == (heron_area(T[a]) == T[b].perimeter), (a, b)
+
+
 def test_words_and_graph_search_agree():
-    for n in range(2, 9):
+    for n in range(2, 15):
         from_words = {expand(w) for w in enumerate_words(n)}
-        from_graph = set(find_cycles(n, 1000))
-        assert from_words == from_graph
+        for p_max in (1000, 1732):  # 1732 is the perimeter of (3, 865, 866)
+            assert from_words == set(find_cycles(n, p_max)), (n, p_max)
