@@ -156,13 +156,6 @@ def cmd_catalog_info(args) -> int:
     return 0
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table",
-        help="output format (default: table)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heron",
@@ -170,15 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
         "and machine-check the facts the search relies on.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "json", "csv"), default="table",
+                     help="output format (default: table)")
 
-    p_enum = sub.add_parser("enumerate", help="list Heronian triangles")
+    p_enum = sub.add_parser("enumerate", parents=[fmt], help="list Heronian triangles")
     group = p_enum.add_mutually_exclusive_group(required=True)
     group.add_argument("--perimeter", type=int, help="exact perimeter to match")
     group.add_argument("--area", type=int, help="exact area to match")
-    _add_format(p_enum)
     p_enum.set_defaults(run=cmd_enumerate)
 
-    p_cyc = sub.add_parser("cycles", help="enumerate n-sociable cycles")
+    p_cyc = sub.add_parser("cycles", parents=[fmt], help="enumerate n-sociable cycles")
     p_cyc.add_argument("--n", type=int, required=True, help="cycle length")
     mode = p_cyc.add_mutually_exclusive_group()
     mode.add_argument("--symbolic", action="store_true",
@@ -186,10 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--concrete", action="store_true",
                       help="search concrete triangle cycles (needs --p-max)")
     p_cyc.add_argument("--p-max", type=int, help="perimeter bound for concrete search")
-    _add_format(p_cyc)
     p_cyc.set_defaults(run=cmd_cycles)
 
-    p_ver = sub.add_parser("verify", help="machine-check a claim within bounds")
+    p_ver = sub.add_parser("verify", parents=[fmt], help="machine-check a claim within bounds")
     p_ver.add_argument(
         "--claim", required=True,
         choices=(*_CLAIMS, "all"),
@@ -203,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--x", type=int)
     p_ver.add_argument("--y", type=int)
     p_ver.add_argument("--z", type=int)
-    _add_format(p_ver)
     p_ver.set_defaults(run=cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="build or inspect a triangle catalog")
@@ -212,9 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--p-max", type=int, required=True, help="perimeter bound")
     p_build.add_argument("--out", required=True, help="output path")
     p_build.set_defaults(run=cmd_catalog_build)
-    p_info = cat_sub.add_parser("info", help="print a catalog's header")
+    p_info = cat_sub.add_parser("info", parents=[fmt], help="print a catalog's header")
     p_info.add_argument("--in", dest="path", help=f"catalog path (default: ${CATALOG_ENV_VAR})")
-    _add_format(p_info)
     p_info.set_defaults(run=cmd_catalog_info)
 
     return parser

@@ -4,7 +4,9 @@ Triangles are linked by the successor relation "area of one equals
 perimeter of the next". An n-sociable cycle is a closed walk of length n
 under that relation (members may repeat) that is not made of equable
 triangles only, considered up to rotation. The relation is directed, so
-rotation is the only equivalence; reversal is not.
+rotation is the only equivalence; reversal is not. One predicate,
+_all_equable (every member's area equals its perimeter), makes that
+"equable only" test for both ConcreteCycle and find_cycles.
 
 One generator, _least_rotation_walks, lists the closed walks of any
 small ordered graph one rotation class at a time, as least rotations in
@@ -18,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from heronian.core import Classification, Triangle, _area, classify, heron_area
+from heronian.core import Triangle, _area, heron_area
 from heronian.enumeration import (
     _kernel_join,
     _perimeter_triangles,
@@ -50,6 +52,12 @@ def canonical_rotation(members: tuple | str) -> tuple | str:
     return min(members[i:] + members[:i] for i, m in enumerate(members) if m == least)
 
 
+def _all_equable(members) -> bool:
+    """Whether every member's area equals its perimeter, which makes a
+    closed walk no sociable cycle."""
+    return all(heron_area(t) == t.perimeter for t in members)
+
+
 @dataclass(frozen=True)
 class ConcreteCycle:
     """An n-sociable cycle, stored in canonical rotation.
@@ -65,16 +73,11 @@ class ConcreteCycle:
         members = tuple(self.members)
         if not members:
             raise ValueError("a cycle needs at least one member")
-        n = len(members)
-        for i, t in enumerate(members):
-            area = _area(t)
-            nxt = members[(i + 1) % n]
-            if area != nxt.perimeter:
-                raise ValueError(
-                    f"broken link: area {area} of {t} != perimeter "
-                    f"{nxt.perimeter} of {nxt}"
-                )
-        if all(classify(t) is Classification.EQUABLE for t in members):
+        for t, nxt in zip(members, members[1:] + members[:1]):
+            if (area := _area(t)) != nxt.perimeter:
+                raise ValueError(f"broken link: area {area} of {t} != perimeter "
+                                 f"{nxt.perimeter} of {nxt}")
+        if _all_equable(members):
             raise ValueError("all members are equable; not a sociable cycle")
         object.__setattr__(self, "members", canonical_rotation(members))
 
@@ -132,7 +135,7 @@ def predecessors(t: Triangle) -> list[Triangle]:
 
 
 def trace_chain(
-    start: Triangle, direction: ChainDirection, max_steps: int
+    start: Triangle, direction: ChainDirection | str, max_steps: int
 ) -> tuple[ChainTrace, ...]:
     """Follow the linking relation from a triangle, up to max_steps hops.
 
@@ -152,6 +155,8 @@ def trace_chain(
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     area = _area(start)
+    if not isinstance(direction, ChainDirection):  # a member skips the ~1 us enum call
+        direction = ChainDirection(direction)  # its value; ValueError for any other
     forward = direction is ChainDirection.SUCCESSOR
     neighbours = triangles_with_perimeter if forward else triangles_with_area
     traces: list[ChainTrace] = []
@@ -305,15 +310,11 @@ def find_cycles(n: int, p_max: int) -> list[ConcreteCycle]:
 
     Any member's area equals another member's perimeter, so members of
     such cycles automatically have area <= p_max as well; the search
-    over that finite vertex set is therefore complete. Results are
-    deduplicated under rotation and sorted.
+    over that finite vertex set is therefore complete. The cycles are
+    closed_walks' least rotations, in its ascending order, less the
+    all-equable walks.
     """
-    cycles = []
-    for walk in closed_walks(n, p_max):
-        if all(classify(t) is Classification.EQUABLE for t in walk):
-            continue
-        cycles.append(ConcreteCycle(walk))
-    return cycles
+    return [ConcreteCycle(walk) for walk in closed_walks(n, p_max) if not _all_equable(walk)]
 
 
 def amicable_pairs(p_max: int) -> list[ConcreteCycle]:

@@ -59,6 +59,8 @@ class CycleWord:
 
     def __post_init__(self) -> None:
         w = self.symbols
+        if not isinstance(w, str):
+            raise TypeError(f"symbols must be a str, got {type(w).__name__}")
         if not w:
             raise ValueError("a cycle word needs at least one symbol")
         if set(w) - set("UVW"):

@@ -4,6 +4,11 @@ Each check scans an explicitly bounded region, reports the bounds it
 actually used, and returns either a clean verdict or a re-checkable
 counterexample. Reports serialize to a stable JSON form (fixed top-level
 field order, sorted keys inside), so identical bounds give identical bytes.
+
+A theorem3 counterexample names the first member outside U, V and W,
+or else the missing V. solve_power_difference returns its two solution
+sets as a pair, (2^p - 3^q = 1, 3^q - 2^p = 1), in the order the
+gersonides report lists them.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from heronian.enumeration import (
 from heronian.necklace import TRIANGLE_FOR_SYMBOL
 
 __all__ = [
-    "GersonidesSolutions",
     "TheoremReport",
     "VERDICT_COUNTEREXAMPLE",
     "VERDICT_VERIFIED",
@@ -214,22 +218,12 @@ def check_theorem2(n: int, p_max: int) -> TheoremReport:
     return TheoremReport("theorem2", bounds, verdict, witnesses)
 
 
-@dataclass
-class GersonidesSolutions:
-    """Exponent pairs making a power of 2 and a power of 3 differ by one.
-
-    Tuples follow each equation's reading order: pow2_minus_pow3 holds
-    (p, q) with 2^p - 3^q = 1, pow3_minus_pow2 holds (q, p) with
-    3^q - 2^p = 1.
-    """
-
-    exp_max: int
-    pow2_minus_pow3: set
-    pow3_minus_pow2: set
-
-
-def solve_power_difference(exp_max: int) -> GersonidesSolutions:
+def solve_power_difference(exp_max: int) -> tuple[set, set]:
     """Scan all exponents up to exp_max for 2^p - 3^q = +/-1, exactly.
+
+    Returns (pow2_minus_pow3, pow3_minus_pow2), each pair in its
+    equation's reading order: (p, q) with 2^p - 3^q = 1, and (q, p)
+    with 3^q - 2^p = 1.
 
     2^p and 3^q rise together, one multiply each per step, so memory
     stays O(exp_max) bits. 3^q is the least power of 3 above 2^p, so
@@ -251,7 +245,7 @@ def solve_power_difference(exp_max: int) -> GersonidesSolutions:
         if pow3 == pow2 + 1:
             three_minus_two.add((q, p))
         pow2 *= 2
-    return GersonidesSolutions(exp_max, two_minus_three, three_minus_two)
+    return two_minus_three, three_minus_two
 
 
 def _difference_of_squares(product: int, offset: int) -> list[tuple[int, int]]:
@@ -314,13 +308,11 @@ def check_theorem3(p_max: int, n_max: int) -> TheoremReport:
         cycles = find_cycles(n, p_max)
         for cycle in cycles:
             stray = [t for t in cycle.members if t not in allowed]
-            if stray:
-                witness = {"n": n, "cycle": [list(t.sides) for t in cycle.members],
-                           "unexpected_member": list(stray[0].sides)}
-                return TheoremReport("theorem3", bounds, VERDICT_COUNTEREXAMPLE, [witness])
-            if must_contain not in cycle.members:
-                witness = {"n": n, "cycle": [list(t.sides) for t in cycle.members],
-                           "missing_member": list(must_contain.sides)}
+            if stray or must_contain not in cycle.members:
+                fault, t = (("unexpected_member", stray[0]) if stray
+                            else ("missing_member", must_contain))
+                witness = {"n": n, "cycle": [list(m.sides) for m in cycle.members],
+                           fault: list(t.sides)}
                 return TheoremReport("theorem3", bounds, VERDICT_COUNTEREXAMPLE, [witness])
         counts.append({"n": n, "cycles": len(cycles)})
     return TheoremReport("theorem3", bounds, VERDICT_VERIFIED, counts)
@@ -343,14 +335,9 @@ def check_equable_census() -> TheoremReport:
 
 def check_gersonides(exp_max: int) -> TheoremReport:
     """The exponent scan finds exactly the four classical solutions."""
-    sols = solve_power_difference(exp_max)
-    ok = sols.pow2_minus_pow3 == {(1, 0), (2, 1)} and sols.pow3_minus_pow2 == {
-        (1, 1),
-        (2, 3),
-    }
-    witnesses = [
-        {"equation": "2^p-3^q=1", "solutions": sorted(list(s) for s in sols.pow2_minus_pow3)},
-        {"equation": "3^q-2^p=1", "solutions": sorted(list(s) for s in sols.pow3_minus_pow2)},
-    ]
+    solutions = solve_power_difference(exp_max)
+    ok = solutions == ({(1, 0), (2, 1)}, {(1, 1), (2, 3)})
+    witnesses = [{"equation": equation, "solutions": sorted(list(s) for s in found)}
+                 for equation, found in zip(("2^p-3^q=1", "3^q-2^p=1"), solutions)]
     verdict = VERDICT_VERIFIED if ok else VERDICT_COUNTEREXAMPLE
     return TheoremReport("gersonides", {"exp_max": exp_max}, verdict, witnesses)

@@ -115,6 +115,20 @@ def test_trace_chain_bound_hit():
         assert t.num_steps <= 1
 
 
+def test_trace_chain_takes_a_direction_by_its_value():
+    # predecessor-ward from (3, 4, 5) lists the triangles of area 12, while
+    # successor-ward dead-ends at once, so a value read as the other
+    # direction would give other traces
+    start = Triangle(3, 4, 5)
+    for direction in ChainDirection:
+        traces = trace_chain(start, direction.value, 2)
+        assert traces == trace_chain(start, direction, 2)
+        assert {t.direction for t in traces} == {direction}
+    assert trace_chain(start, "successor", 2) != trace_chain(start, "predecessor", 2)
+    with pytest.raises(ValueError):
+        trace_chain(start, "sideways", 2)
+
+
 def library_traces(sides, direction, max_steps):
     return [
         (tuple((t.sides, link) for t, link in trace.steps), trace.end.value)
@@ -327,6 +341,16 @@ def test_discarded_walks_are_exactly_the_constant_equable_loops():
         discarded = walks - kept
         expected = {(e,) * n for e in equable_triangles()}
         assert discarded == expected
+
+
+@pytest.mark.parametrize("p_max", [54, 200, 2000, 10000])
+def test_find_cycles_are_the_walks_that_are_not_all_equable(p_max):
+    # the generator's least rotations, in its order, with only the
+    # all-equable walks left out
+    equable = set(equable_triangles())
+    for n in range(1, 13):
+        walks = [w for w in closed_walks(n, p_max) if not set(w) <= equable]
+        assert [c.members for c in find_cycles(n, p_max)] == walks, (n, p_max)
 
 
 def test_long_walks_do_not_hit_the_recursion_limit():

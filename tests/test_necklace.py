@@ -3,7 +3,7 @@ import pytest
 from oracles import block_words_oracle, count_words_oracle, words_oracle
 
 from heronian.core import Triangle, heron_area
-from heronian.cycles import ConcreteCycle, find_cycles
+from heronian.cycles import ConcreteCycle, _least_rotation_walks, find_cycles
 from heronian.necklace import (
     TRIANGLE_FOR_SYMBOL,
     CycleWord,
@@ -38,6 +38,12 @@ def test_word_validation():
         CycleWord("")
 
 
+@pytest.mark.parametrize("letters", [["U", "V"], ("U", "V")], ids=["list", "tuple"])
+def test_word_symbols_must_be_a_str(letters):
+    with pytest.raises(TypeError):
+        CycleWord(letters)
+
+
 def test_word_rotations_compare_equal():
     assert CycleWord("UVWWW") == CycleWord("WWWUV") == CycleWord("WWUVW")
     # a rotation cutting between U and V is still the same cyclic word
@@ -54,6 +60,14 @@ def test_enumerate_words_known_values():
 def test_enumerate_words_matches_brute_force():
     for n in range(1, 13):
         assert {w.symbols for w in enumerate_words(n)} == words_oracle(n)
+
+
+def test_enumerate_words_are_the_generator_walks_that_hold_a_u():
+    # the generator's least rotations, in its order, with only the all-W
+    # walk left out
+    for n in range(1, 17):
+        walks = ["".join(w) for w in _least_rotation_walks(_WORD_SUCCESSORS, n)]
+        assert symbols(enumerate_words(n)) == [w for w in walks if "U" in w], n
 
 
 def test_enumerate_words_matches_block_strings():

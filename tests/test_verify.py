@@ -136,18 +136,14 @@ def test_empty_bound_is_refused(check):
 
 def test_power_difference_solutions():
     sols = solve_power_difference(64)
-    assert sols.pow2_minus_pow3 == {(1, 0), (2, 1)}
-    assert sols.pow3_minus_pow2 == {(1, 1), (2, 3)}
+    assert sols == ({(1, 0), (2, 1)}, {(1, 1), (2, 3)})
     # all solutions already live at tiny exponents
-    small = solve_power_difference(4)
-    assert small.pow2_minus_pow3 == sols.pow2_minus_pow3
-    assert small.pow3_minus_pow2 == sols.pow3_minus_pow2
+    assert solve_power_difference(4) == sols
 
 
 def test_power_difference_matches_the_dict_scan():
     for exp_max in range(1, 301):
-        sols = solve_power_difference(exp_max)
-        assert (sols.pow2_minus_pow3, sols.pow3_minus_pow2) == power_difference_oracle(exp_max)
+        assert solve_power_difference(exp_max) == power_difference_oracle(exp_max)
 
 
 def _peak_bytes(scan, exp_max):
@@ -212,6 +208,16 @@ def test_theorem3_reports_counterexample(monkeypatch, members, witness):
     assert report.witnesses == [dict(witness, n=1, cycle=cycle_sides)]
 
 
+def test_theorem3_witness_names_the_first_stray_before_a_missing_v(monkeypatch):
+    # (U, STRAY, (5, 5, 8)) has two members outside U, V, W and lacks V
+    members = (U, STRAY, Triangle(5, 5, 8))
+    monkeypatch.setattr("heronian.verify.find_cycles",
+                        lambda n, p_max: [SimpleNamespace(members=members)])
+    [witness] = check_theorem3(1000, 8).witnesses
+    assert witness["unexpected_member"] == [13, 14, 15]
+    assert "missing_member" not in witness
+
+
 def test_lemma3_reports_counterexample(monkeypatch):
     # (13, 14, 15) has gaps (6, 7, 8), so x = 6 > 3
     monkeypatch.setattr("heronian.verify.deficient_triangles", lambda p_max: [STRAY])
@@ -224,6 +230,13 @@ def test_lemma3_reports_counterexample(monkeypatch):
 def test_equable_and_gersonides_reports():
     assert check_equable_census().verdict == VERDICT_VERIFIED
     assert check_gersonides(64).verdict == VERDICT_VERIFIED
+
+
+def test_gersonides_witnesses_label_each_solution_set_with_its_equation():
+    assert check_gersonides(64).witnesses == [
+        {"equation": "2^p-3^q=1", "solutions": [[1, 0], [2, 1]]},
+        {"equation": "3^q-2^p=1", "solutions": [[1, 1], [2, 3]]},
+    ]
 
 
 def test_report_serialization_is_stable():
