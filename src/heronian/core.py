@@ -3,9 +3,12 @@
 Everything here runs on plain Python integers. A triangle is reported as
 Heronian (integer area) only when the squared area s*x*y*z is a perfect
 square, so there are no floating-point false positives at any input
-size. That one predicate is decided in one place, perfect_square_root:
-math.isqrt and a multiply back. heron_area keeps the areas of the last
-4096 triangles it was asked about.
+size. That predicate is math.isqrt and a multiply back, decided by
+perfect_square_root everywhere but in the two divisor loops of
+enumeration, _perimeter_triangles and triangles_with_area: they test
+millions of candidates, so each spells the same two steps inline rather
+than pay a Python call per candidate. heron_area keeps the areas of the
+last 4096 triangles it was asked about.
 """
 
 from __future__ import annotations
@@ -144,6 +147,12 @@ def heron_area(t: Triangle) -> int | None:
 
 def is_heronian(t: Triangle) -> bool:
     return heron_area(t) is not None
+
+
+def _check_int(name: str, value) -> None:
+    """TypeError naming the argument unless value is a plain int."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a plain integer, got {type(value).__name__}")
 
 
 def _area(t: Triangle) -> int:

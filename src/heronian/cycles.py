@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from heronian.core import Triangle, _area, heron_area
+from heronian.core import Triangle, _area, _check_int, heron_area
 from heronian.enumeration import (
     _kernel_join,
     _perimeter_triangles,
@@ -58,6 +58,15 @@ def _all_equable(members) -> bool:
     return all(heron_area(t) == t.perimeter for t in members)
 
 
+def _check_links(members: tuple) -> None:
+    """ValueError unless each member's area is the next one's perimeter,
+    the last linking back to the first."""
+    for t, nxt in zip(members, members[1:] + members[:1]):
+        if (area := _area(t)) != nxt.perimeter:
+            raise ValueError(f"broken link: area {area} of {t} != perimeter "
+                             f"{nxt.perimeter} of {nxt}")
+
+
 @dataclass(frozen=True)
 class ConcreteCycle:
     """An n-sociable cycle, stored in canonical rotation.
@@ -73,13 +82,20 @@ class ConcreteCycle:
         members = tuple(self.members)
         if not members:
             raise ValueError("a cycle needs at least one member")
-        for t, nxt in zip(members, members[1:] + members[:1]):
-            if (area := _area(t)) != nxt.perimeter:
-                raise ValueError(f"broken link: area {area} of {t} != perimeter "
-                                 f"{nxt.perimeter} of {nxt}")
+        _check_links(members)
         if _all_equable(members):
             raise ValueError("all members are equable; not a sociable cycle")
         object.__setattr__(self, "members", canonical_rotation(members))
+
+    @classmethod
+    def _from_walk(cls, walk: tuple[Triangle, ...]) -> ConcreteCycle:
+        """The cycle of a closed walk that is already its least rotation
+        and not all-equable, as find_cycles has it from closed_walks: the
+        link check still runs, the rotation and equable tests do not."""
+        _check_links(walk)
+        cycle = object.__new__(cls)
+        object.__setattr__(cycle, "members", walk)
+        return cycle
 
     def __len__(self) -> int:
         return len(self.members)
@@ -151,14 +167,20 @@ def trace_chain(
     exists, so it lists none: it is bound-hit at once when its link is a
     multiple of 12, as one is always there, else at the first triangle
     with that perimeter, and dead-end only when there is none.
+
+    Branches meet the same links again and again, so a dict local to the
+    call keeps each link's neighbour list: every distinct link is listed
+    once per call, and nothing outlives the call.
     """
-    if max_steps < 1:
+    if type(max_steps) is not int or max_steps < 1:  # one test on the common path
+        _check_int("max_steps", max_steps)
         raise ValueError("max_steps must be at least 1")
     area = _area(start)
     if not isinstance(direction, ChainDirection):  # a member skips the ~1 us enum call
         direction = ChainDirection(direction)  # its value; ValueError for any other
     forward = direction is ChainDirection.SUCCESSOR
     neighbours = triangles_with_perimeter if forward else triangles_with_area
+    listed: dict[int, list[Triangle]] = {}  # link -> neighbours(link), this call only
     traces: list[ChainTrace] = []
     stack = [(((start, area if forward else start.perimeter),), None)]
     while stack:
@@ -169,18 +191,23 @@ def trace_chain(
                 # (A/4, A/3, 5A/12) is a Heronian 3-4-5 triangle with perimeter A
                 found = link % 12 == 0 or next(_perimeter_triangles(link), None) is not None
                 end = ChainEnd.BOUND_HIT if found else ChainEnd.DEAD_END
-            elif not (nxt := neighbours(link)):
-                end = ChainEnd.DEAD_END
-            elif len(steps) > max_steps:
-                end = ChainEnd.BOUND_HIT
-            else:  # reversed, so the first branch is popped first
-                members = {t for t, _ in steps}
-                stack.extend(
-                    (steps + ((u, heron_area(u) if forward else u.perimeter),),
-                     ChainEnd.CYCLE_CLOSED if u in members else None)
-                    for u in reversed(nxt)
-                )
-                continue
+            else:
+                if link in listed:
+                    nxt = listed[link]
+                else:
+                    nxt = listed[link] = neighbours(link)
+                if not nxt:
+                    end = ChainEnd.DEAD_END
+                elif len(steps) > max_steps:
+                    end = ChainEnd.BOUND_HIT
+                else:  # reversed, so the first branch is popped first
+                    members = {t for t, _ in steps}
+                    stack.extend(
+                        (steps + ((u, heron_area(u) if forward else u.perimeter),),
+                         ChainEnd.CYCLE_CLOSED if u in members else None)
+                        for u in reversed(nxt)
+                    )
+                    continue
         traces.append(ChainTrace(direction, steps, end))
     return tuple(traces)
 
@@ -298,6 +325,8 @@ def closed_walks(n: int, p_max: int) -> list[tuple[Triangle, ...]]:
     on an equable triangle) are still included; find_cycles filters
     them out.
     """
+    _check_int("n", n)
+    _check_int("p_max", p_max)
     if n < 1:
         raise ValueError("cycle length must be at least 1")
     if p_max < 1:
@@ -312,9 +341,11 @@ def find_cycles(n: int, p_max: int) -> list[ConcreteCycle]:
     such cycles automatically have area <= p_max as well; the search
     over that finite vertex set is therefore complete. The cycles are
     closed_walks' least rotations, in its ascending order, less the
-    all-equable walks.
+    all-equable walks; each keeps its walk as built, after the link
+    check.
     """
-    return [ConcreteCycle(walk) for walk in closed_walks(n, p_max) if not _all_equable(walk)]
+    return [ConcreteCycle._from_walk(walk) for walk in closed_walks(n, p_max)
+            if not _all_equable(walk)]
 
 
 def amicable_pairs(p_max: int) -> list[ConcreteCycle]:

@@ -85,8 +85,9 @@ def _perimeter_triangles(p: int):
         u2 = u * u
         t = 1
         while k4 * t * t <= u2:
-            d = perfect_square_root(u2 - k4 * t * t)  # y - x
-            if d is not None and u + d <= 2 * z:  # y <= z
+            d2 = u2 - k4 * t * t  # (y - x)^2 when it is a square
+            d = isqrt(d2)  # perfect_square_root, inline (see core)
+            if d * d == d2 and u + d <= 2 * z:  # y <= z
                 yield Triangle(u, z + (u - d) // 2, z + (u + d) // 2)
             t += 1
 
@@ -120,12 +121,14 @@ _MASK64 = (1 << 64) - 1
 
 
 def _prime_word(p: int) -> int:
-    """A fixed 60-bit word for the prime p: the top bits of the splitmix64
-    finalizer of p, so the same on every run and every platform."""
+    """A fixed 30-bit word for the prime p: the top bits of the splitmix64
+    finalizer of p, so the same on every run and every platform. Thirty
+    bits fit one CPython int digit, so every hash and XOR of the join
+    stays a one-digit int."""
     z = (p * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) >> 4
+    return (z ^ (z >> 31)) >> 34
 
 
 def _parity_hashes(n: int) -> list[int]:
@@ -367,11 +370,11 @@ def triangles_with_area(area: int) -> list[Triangle]:
                 continue
             target = rest // y  # z * (z + x + y) must equal this
             disc = (x + y) * (x + y) + 4 * target
-            root = perfect_square_root(disc)
+            root = isqrt(disc)  # perfect_square_root, inline (see core)
             # z = (root - x - y)/2 needs no further test: root^2 is (x+y)^2 mod 4,
             # so root - x - y is even; and x*y*y*(x + 2*y) <= a2 = (x+y+z)*x*y*z,
             # increasing in z with equality at z = y, so z >= y.
-            if root is not None:
+            if root * root == disc:
                 z = (root - x - y) // 2
                 found.append(Triangle(x + y, x + z, y + z))
     found.sort()

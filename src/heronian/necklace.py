@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from heronian.core import Triangle
+from heronian.core import Triangle, _check_int
 from heronian.cycles import ConcreteCycle, _least_rotation_walks, canonical_rotation
 from heronian.enumeration import _divisors, _factorize
 
@@ -66,15 +66,31 @@ class CycleWord:
         if set(w) - set("UVW"):
             raise ValueError(f"symbols must be U, V or W, got {w!r}")
         least = canonical_rotation(w)
-        if not least.startswith("U") or least.replace("UV", "").strip("W"):
-            raise ValueError(f"{w!r} is not a cycle of UV and W blocks with a UV")
+        _check_pairs(least, w)
         object.__setattr__(self, "symbols", least)
+
+    @classmethod
+    def _from_least(cls, least: str) -> CycleWord:
+        """The word of a least rotation over {U, V, W}, as enumerate_words
+        has it from the generator: the pairing rule is still checked, the
+        rotation is not re-derived."""
+        _check_pairs(least, least)
+        word = object.__new__(cls)
+        object.__setattr__(word, "symbols", least)
+        return word
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def __str__(self) -> str:
         return self.symbols
+
+
+def _check_pairs(least: str, w: str) -> None:
+    """ValueError unless the least rotation `least` of the word w starts
+    with U and leaves only W's once every UV is removed."""
+    if not least.startswith("U") or least.replace("UV", "").strip("W"):
+        raise ValueError(f"{w!r} is not a cycle of UV and W blocks with a UV")
 
 
 def enumerate_words(n: int) -> list[CycleWord]:
@@ -85,12 +101,15 @@ def enumerate_words(n: int) -> list[CycleWord]:
     V preceded by U, and W's may follow V or W. The only closed walk
     with no U is the all-W one, as V is reached only from U, and W is
     equable, so it is dropped. The generator yields each class once, as
-    its least rotation, in ascending order; each word still goes through
-    CycleWord's validation.
+    its least rotation, in ascending order, so each word is kept as
+    built: it still passes CycleWord's pairing-rule check, and its
+    rotation is not re-derived.
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError("word length must be at least 1")
-    return [CycleWord("".join(w)) for w in _least_rotation_walks(_WORD_SUCCESSORS, n) if "U" in w]
+    return [CycleWord._from_least("".join(w))
+            for w in _least_rotation_walks(_WORD_SUCCESSORS, n) if "U" in w]
 
 
 def count_words(n: int) -> int:
@@ -102,6 +121,7 @@ def count_words(n: int) -> int:
     (1/n) * sum_{d | n} phi(n/d) * L_d classes, over the divisors of n
     from its factorization. The one all-W word is subtracted.
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError("word length must be at least 1")
     factors = _factorize(n)

@@ -211,14 +211,40 @@ def test_successor_leaves_are_never_listed(monkeypatch, p_max, max_steps, step):
     listed, probed = count_neighbour_queries(monkeypatch)
     assert [trace for sides in starts
             for trace in library_traces(sides, ChainDirection.SUCCESSOR, max_steps)] == expected
-    # every step within the budget is listed once; a leaf at the bound is
-    # only probed, and only when its link is not a multiple of 12
-    inner = {steps[:k] for steps, end in expected
+    # every distinct link within the budget is listed once per start's
+    # call; a leaf at the bound is only probed, and only when its link is
+    # not a multiple of 12
+    inner = {(steps[0][0], steps[k - 1][1]) for steps, end in expected
              for k in range(1, min(len(steps) - (end == "cycle-closed"), max_steps) + 1)}
     leaves = [steps[-1][1] for steps, end in expected
               if end != "cycle-closed" and len(steps) > max_steps]
-    assert sorted(listed) == sorted(steps[-1][1] for steps in inner)
+    assert sorted(listed) == sorted(link for _, link in inner)
     assert sorted(probed) == sorted(link for link in leaves if link % 12)
+
+
+def test_predecessor_links_are_listed_once_per_call(monkeypatch):
+    # branches meet the same perimeter again and again: each call lists
+    # every distinct link once, and the traces still equal the oracle's
+    starts = [t for p in range(301) for t in perimeter_scan_oracle(p)]
+    listed = []
+
+    def listing(area):
+        listed.append(area)
+        return triangles_with_area(area)
+
+    monkeypatch.setattr("heronian.cycles.triangles_with_area", listing)
+    repeats = 0
+    for sides in starts:
+        for max_steps in (2, 4, 6):
+            expected = trace_chain_oracle(sides, False, max_steps)
+            del listed[:]
+            assert library_traces(sides, ChainDirection.PREDECESSOR, max_steps) == expected
+            links = {steps[k][1] for steps, end in expected
+                     for k in range(len(steps) - (end == "cycle-closed"))}
+            assert sorted(listed) == sorted(links), (sides, max_steps)
+            visits = sum(len(steps) - (end == "cycle-closed") for steps, end in expected)
+            repeats += visits - len(links)
+    assert repeats > 0  # the oracle's walk lists some link more than once
 
 
 def test_concrete_cycle_validation():
@@ -351,6 +377,42 @@ def test_find_cycles_are_the_walks_that_are_not_all_equable(p_max):
     for n in range(1, 13):
         walks = [w for w in closed_walks(n, p_max) if not set(w) <= equable]
         assert [c.members for c in find_cycles(n, p_max)] == walks, (n, p_max)
+
+
+@pytest.mark.parametrize("p_max", [54, 200, 2000, 10000])
+def test_find_cycles_equal_the_public_constructor_on_rotated_walks(p_max):
+    # the public constructor re-derives each least rotation from a rotated
+    # walk, so the walks find_cycles keeps as built must already be one
+    for n in range(1, 13):
+        walks = [w for w in closed_walks(n, p_max)
+                 if not all(heron_area(t) == t.perimeter for t in w)]
+        assert find_cycles(n, p_max) == [ConcreteCycle(w[1:] + w[:1]) for w in walks], (n, p_max)
+
+
+def test_find_cycles_refuses_a_broken_walk_from_the_generator(monkeypatch):
+    # the link check still runs on walks the generator yields
+    monkeypatch.setattr(cycles, "_least_rotation_walks", lambda succ, n: iter([(V, V)]))
+    with pytest.raises(ValueError, match="broken link"):
+        find_cycles(2, 100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: closed_walks(2.0, 100),
+    lambda: closed_walks(2, 100.0),
+    lambda: find_cycles(2.0, 100),
+    lambda: find_cycles(2, 100.0),
+    lambda: amicable_pairs(100.0),
+], ids=["walks-n", "walks-p_max", "cycles-n", "cycles-p_max", "amicable-p_max"])
+def test_cycle_searches_refuse_a_non_int_length_or_bound(call):
+    with pytest.raises(TypeError, match=r"^(n|p_max) must be a plain integer"):
+        call()
+
+
+@pytest.mark.parametrize("max_steps", [2.5, 2.0, "2", True])
+def test_trace_chain_refuses_a_non_int_budget(max_steps):
+    for direction in ChainDirection:
+        with pytest.raises(TypeError, match="^max_steps must be a plain integer"):
+            trace_chain(Triangle(3, 4, 5), direction, max_steps)
 
 
 def test_long_walks_do_not_hit_the_recursion_limit():

@@ -2,6 +2,7 @@ import pytest
 
 from oracles import block_words_oracle, count_words_oracle, words_oracle
 
+from heronian import necklace
 from heronian.core import Triangle, heron_area
 from heronian.cycles import ConcreteCycle, _least_rotation_walks, find_cycles
 from heronian.necklace import (
@@ -68,6 +69,34 @@ def test_enumerate_words_are_the_generator_walks_that_hold_a_u():
     for n in range(1, 17):
         walks = ["".join(w) for w in _least_rotation_walks(_WORD_SUCCESSORS, n)]
         assert symbols(enumerate_words(n)) == [w for w in walks if "U" in w], n
+
+
+def test_enumerate_words_equal_the_public_constructor_on_rotated_words():
+    # the public constructor re-derives each least rotation from a rotated
+    # word, so the words enumerate_words keeps as built must already be one
+    for n in range(1, 17):
+        walks = ["".join(w) for w in _least_rotation_walks(_WORD_SUCCESSORS, n)]
+        assert enumerate_words(n) == [CycleWord(w[1:] + w[:1]) for w in walks if "U" in w], n
+
+
+@pytest.mark.parametrize("bad", ["UW", "UVV", "UVU"])
+def test_enumerate_words_refuses_a_generator_word_that_breaks_the_pairs(monkeypatch, bad):
+    # the pairing-rule check still runs on words the generator yields
+    monkeypatch.setattr(necklace, "_least_rotation_walks", lambda succ, n: iter([tuple(bad)]))
+    with pytest.raises(ValueError, match="is not a cycle of UV and W blocks"):
+        enumerate_words(len(bad))
+
+
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", True])
+def test_enumerate_words_refuses_a_non_int_length(n):
+    with pytest.raises(TypeError, match="^n must be a plain integer"):
+        enumerate_words(n)
+
+
+@pytest.mark.parametrize("n", [4.0, 2.5, "4", True])
+def test_count_words_refuses_a_non_int_length(n):
+    with pytest.raises(TypeError, match="^n must be a plain integer"):
+        count_words(n)
 
 
 def test_enumerate_words_matches_block_strings():
