@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from itertools import repeat
 from typing import NamedTuple
 
-from heronian.core import Classification, Triangle, _area, _classify
+from heronian.core import Classification, Triangle, _area, _check_bound, _classify
 from heronian.enumeration import (
     _kernel_join,
     area_perimeter_bound,
@@ -145,10 +145,8 @@ def build(p_max: int, workers: int = 1) -> Catalog:
     worker scheduling. The pool does not pay on 2 cores; it stays only
     for the perfbench/ probe build(2000, workers=2).
     """
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_bound("p_max", p_max)
+    _check_bound("workers", workers)
     step = max(2, (p_max // workers + 1) & ~1)
     los = range(1, p_max + 1, step)
     his = [min(lo + step, p_max + 1) for lo in los]

@@ -26,7 +26,9 @@ def _emit(fmt: str, payload, rows: list[dict], fieldnames, lines=None) -> None:
     """Write one result to stdout in the requested format.
 
     json writes the payload, csv writes the rows, and table writes the
-    given text lines or, without them, the rows as aligned columns.
+    given text lines or, without them, the rows as aligned columns. The
+    result is flushed, so a closed stdout pipe fails here, inside main's
+    file-error exit, and not in the flush at interpreter exit.
     """
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -46,6 +48,7 @@ def _emit(fmt: str, payload, rows: list[dict], fieldnames, lines=None) -> None:
         print("  ".join(name.ljust(widths[name]) for name in fieldnames))
         for r in rows:
             print("  ".join(str(r[name]).ljust(widths[name]) for name in fieldnames))
+    sys.stdout.flush()
 
 
 def cmd_enumerate(args) -> int:
@@ -132,11 +135,7 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog_build(args) -> int:
     cat = catalog_mod.build(args.p_max)
-    try:
-        catalog_mod.save(cat, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    catalog_mod.save(cat, args.out)
     print(f"wrote {len(cat)} records to {args.out}", file=sys.stderr)
     return 0
 
@@ -145,12 +144,7 @@ def cmd_catalog_info(args) -> int:
     path = args.path or os.environ.get(CATALOG_ENV_VAR)
     if path is None:
         raise ValueError(f"catalog info requires --in or ${CATALOG_ENV_VAR}")
-    try:
-        cat = catalog_mod.load(path)
-    except (OSError, catalog_mod.CatalogFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    header = cat.header()
+    header = catalog_mod.load(path).header()
     lines = [f"{key}: {value}" for key, value in header.items()]
     _emit(args.format, header, [header], list(header), lines)
     return 0
@@ -217,13 +211,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
+    except (OSError, catalog_mod.CatalogFormatError) as exc:
+        # a file that cannot be read or written, a malformed catalog or a
+        # closed stdout pipe; caught first, as CatalogFormatError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # precondition violations (n < 1, a missing flag) are usage errors
         parser.error(str(exc))
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    if code == 1:
+        # after a closed stdout pipe, which main has reported, the bytes it
+        # refused are still buffered (any other output _emit has flushed), so
+        # stdout (fd 1) goes to os.devnull and the flush at exit cannot fail
+        # again: the "Note on SIGPIPE" in Python's signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

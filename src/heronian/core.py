@@ -155,6 +155,14 @@ def _check_int(name: str, value) -> None:
         raise TypeError(f"{name} must be a plain integer, got {type(value).__name__}")
 
 
+def _check_bound(name: str, value) -> None:
+    """The one refusal of a count, bound or budget: TypeError naming a
+    non-int, ValueError for a value below 1."""
+    _check_int(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def _area(t: Triangle) -> int:
     """heron_area(t), or ValueError for a triangle that is not Heronian.
 

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from heronian.core import Triangle, _area, _check_int, heron_area
+from heronian.core import Triangle, _area, _check_bound, heron_area
 from heronian.enumeration import (
     _kernel_join,
     _perimeter_triangles,
@@ -173,8 +173,7 @@ def trace_chain(
     once per call, and nothing outlives the call.
     """
     if type(max_steps) is not int or max_steps < 1:  # one test on the common path
-        _check_int("max_steps", max_steps)
-        raise ValueError("max_steps must be at least 1")
+        _check_bound("max_steps", max_steps)
     area = _area(start)
     if not isinstance(direction, ChainDirection):  # a member skips the ~1 us enum call
         direction = ChainDirection(direction)  # its value; ValueError for any other
@@ -325,12 +324,8 @@ def closed_walks(n: int, p_max: int) -> list[tuple[Triangle, ...]]:
     on an equable triangle) are still included; find_cycles filters
     them out.
     """
-    _check_int("n", n)
-    _check_int("p_max", p_max)
-    if n < 1:
-        raise ValueError("cycle length must be at least 1")
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
+    _check_bound("n", n)
+    _check_bound("p_max", p_max)
     return list(_least_rotation_walks(_cycle_core(p_max)[1], n))
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import gcd
 
-from heronian.core import Triangle, isqrt, perfect_square_root
+from heronian.core import Triangle, _check_int, isqrt, perfect_square_root
 
 __all__ = [
     "area_perimeter_bound",
@@ -58,7 +58,8 @@ def triangles_with_perimeter(p: int) -> list[Triangle]:
     """All Heronian triangles with perimeter p, sorted by side triple.
 
     Odd perimeters have no Heronian triangles (the semiperimeter would
-    not be an integer) and give an empty list.
+    not be an integer) and give an empty list; a p that is not a plain
+    int raises TypeError.
     """
     return list(_perimeter_triangles(p))
 
@@ -74,7 +75,8 @@ def _perimeter_triangles(p: int):
     Sorted because a = u ascends, and b = z + (u - d)/2 rises with t as
     d = y - x shrinks.
     """
-    if p < 3 or p % 2:
+    if type(p) is not int or p < 3 or p % 2:
+        _check_int("p", p)
         return
     s = p // 2
     ker = _squarefree_kernels(s)
@@ -339,7 +341,8 @@ def triangles_with_area(area: int) -> list[Triangle]:
     """All Heronian triangles with exactly the given area, sorted.
 
     Every Heronian area is a multiple of 6 (proof at _kernel_join), so
-    any other area gets [] at once, before factorizing.
+    any other area gets [] at once, before factorizing; one that is not
+    a plain int raises TypeError.
 
     Divisor-triple search: for each divisor pair (x, y) of area^2 the
     remaining gap must solve z^2 + (x+y)z - area^2/(x*y) = 0, so z
@@ -354,7 +357,8 @@ def triangles_with_area(area: int) -> list[Triangle]:
     3,317,044,064,679,887,385,961,981, which _factorize cannot prove
     prime.
     """
-    if area < 1 or area % 6:
+    if type(area) is not int or area < 1 or area % 6:
+        _check_int("area", area)
         return []
     a2 = area * area
     # divisors of area^2, from the factorization of area with doubled exponents

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from heronian.core import Triangle, _check_int
+from heronian.core import Triangle, _check_bound, _check_int
 from heronian.cycles import ConcreteCycle, _least_rotation_walks, canonical_rotation
 from heronian.enumeration import _divisors, _factorize
 
@@ -105,9 +105,7 @@ def enumerate_words(n: int) -> list[CycleWord]:
     built: it still passes CycleWord's pairing-rule check, and its
     rotation is not re-derived.
     """
-    _check_int("n", n)
-    if n < 1:
-        raise ValueError("word length must be at least 1")
+    _check_bound("n", n)
     return [CycleWord._from_least("".join(w))
             for w in _least_rotation_walks(_WORD_SUCCESSORS, n) if "U" in w]
 
@@ -121,9 +119,7 @@ def count_words(n: int) -> int:
     (1/n) * sum_{d | n} phi(n/d) * L_d classes, over the divisors of n
     from its factorization. The one all-W word is subtracted.
     """
-    _check_int("n", n)
-    if n < 1:
-        raise ValueError("word length must be at least 1")
+    _check_bound("n", n)
     factors = _factorize(n)
     total = 0
     for d in _divisors(factors):
@@ -158,6 +154,7 @@ def replacement_family(n: int) -> list[CycleWord]:
     (UV)^k W^(n-2k) for k = 1 .. floor(n/2), in that order. For n >= 6
     this family no longer exhausts all cycle words.
     """
+    _check_int("n", n)
     if n < 2:
         raise ValueError("need length at least 2 for the mandatory UV pair")
     return [CycleWord("UV" * k + "W" * (n - 2 * k)) for k in range(1, n // 2 + 1)]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from heronian.core import (
     Triangle,
+    _check_bound,
     decompose,
     heron_area,
     isqrt,
@@ -121,8 +122,7 @@ def check_lemma2(p_max: int) -> TheoremReport:
     perimeter <= p_max this confirms area^2 / perimeter = x*y*z / 2
     exactly, x*y*z being even.
     """
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
+    _check_bound("p_max", p_max)
     bounds = {"p_max": p_max}
     checked = even_area = 0
     # the join's rows carry the gaps and the exact area, so no Triangle is
@@ -148,8 +148,8 @@ def check_theorem1_divisibility(x: int, y: int, z: int, n: int) -> bool:
     past which the answer no longer changes. So it costs O(log log z)
     multiplications mod z however large n is, and never builds 2^n.
     """
-    if min(x, y, z) < 1 or n < 1:
-        raise ValueError("x, y, z must be positive and n >= 1")
+    for name, value in (("x", x), ("y", y), ("z", z), ("n", n)):
+        _check_bound(name, value)
     # past the cap 2^n - 1 >= z.bit_length() exceeds every exponent in z's
     # factorization, so z divides iff each prime of z divides 2*(x+y)
     e = 2 ** min(n, z.bit_length().bit_length())
@@ -176,8 +176,7 @@ def check_lemma3(p_max: int) -> TheoremReport:
     that search region; see enumeration._not_abundant) and checks the
     coordinate bounds hold for each one.
     """
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
+    _check_bound("p_max", p_max)
     bounds = {"p_max": p_max}
     checked = 0
     for t in deficient_triangles(p_max):
@@ -200,8 +199,8 @@ def check_theorem2(n: int, p_max: int) -> TheoremReport:
     every survivor is one of (3,4,5), (5,5,8), (3,25,26), (3,865,866);
     the survivors themselves are reported as witnesses.
     """
-    if n < 1 or p_max < 1:
-        raise ValueError("n and p_max must be at least 1")
+    _check_bound("n", n)
+    _check_bound("p_max", p_max)
     bounds = {"n": n, "p_max": p_max}
     expected = set(DEFICIENT_CANDIDATES)
     survivors = []
@@ -232,8 +231,7 @@ def solve_power_difference(exp_max: int) -> tuple[set, set]:
     moves at most one step per p, and q <= p stays within exp_max
     wherever a solution is recorded.
     """
-    if exp_max < 1:
-        raise ValueError("exp_max must be at least 1")
+    _check_bound("exp_max", exp_max)
     two_minus_three = set()
     three_minus_two = set()
     pow2, q, pow3, below = 1, 1, 3, 1  # 2^p, q, 3^q, 3^(q-1)
@@ -298,8 +296,8 @@ def check_theorem3(p_max: int, n_max: int) -> TheoremReport:
     (9,12,15), (3,25,26), (9,10,17) and that every cycle contains
     (3,25,26), the unique deficient cycle member.
     """
-    if p_max < 1 or n_max < 1:
-        raise ValueError("p_max and n_max must be at least 1")
+    _check_bound("p_max", p_max)
+    _check_bound("n_max", n_max)
     bounds = {"p_max": p_max, "n_max": n_max}
     allowed = set(CYCLE_TRIANGLES)
     must_contain = TRIANGLE_FOR_SYMBOL["V"]

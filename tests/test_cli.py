@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -353,6 +354,26 @@ def test_bad_preconditions_are_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(["verify", "--claim", "theorem2", "--n", "0"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("n, lines_read", [(26, 1), (5, 0)],
+                         ids=["closed-mid-listing", "closed-before-the-flush-at-exit"])
+def test_closed_stdout_pipe_is_a_file_error(n, lines_read):
+    # the reader closes the pipe while 10,461 words of length 26 are written,
+    # or before the 2 of length 5 leave the buffer. stdout is block-buffered,
+    # as for any pipe, so bytes can wait for the flush at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for _ in range(5):
+        proc = subprocess.Popen([sys.executable, "-m", "heronian", "cycles", "--n", str(n)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=30) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_catalog_info_env_var(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 import math
 import random
+from functools import partial
 
 import pytest
 
+from heronian import catalog, cycles, enumeration, necklace, verify
 from heronian.core import (
     Classification,
     SxyzDecomposition,
@@ -238,3 +240,55 @@ def test_classify_rejects_non_heronian():
 def test_every_entry_point_refuses_a_non_heronian_triangle(entry, t):
     with pytest.raises(ValueError, match="is not Heronian"):
         entry(t)
+
+
+# Every entry point that takes a count, bound or budget, with valid values
+# for each such argument: core._check_bound refuses each one alone.
+BOUNDED_ENTRY_POINTS = {
+    "closed_walks": (cycles.closed_walks, {"n": 2, "p_max": 100}),
+    "find_cycles": (cycles.find_cycles, {"n": 2, "p_max": 100}),
+    "amicable_pairs": (cycles.amicable_pairs, {"p_max": 100}),
+    "trace_chain": (partial(trace_chain, Triangle(3, 4, 5), ChainDirection.SUCCESSOR),
+                    {"max_steps": 1}),
+    "enumerate_words": (necklace.enumerate_words, {"n": 4}),
+    "count_words": (necklace.count_words, {"n": 4}),
+    "build": (catalog.build, {"p_max": 100, "workers": 1}),
+    "check_lemma2": (verify.check_lemma2, {"p_max": 100}),
+    "check_lemma3": (verify.check_lemma3, {"p_max": 100}),
+    "check_theorem1": (verify.check_theorem1, {"x": 1, "y": 2, "z": 864, "n": 2}),
+    "check_theorem1_divisibility": (verify.check_theorem1_divisibility,
+                                    {"x": 1, "y": 2, "z": 864, "n": 2}),
+    "check_theorem2": (verify.check_theorem2, {"n": 2, "p_max": 100}),
+    "check_theorem3": (verify.check_theorem3, {"p_max": 100, "n_max": 2}),
+    "solve_power_difference": (verify.solve_power_difference, {"exp_max": 8}),
+    "check_gersonides": (verify.check_gersonides, {"exp_max": 8}),
+}
+BOUNDED_ARGUMENTS = [pytest.param(entry, name, id=f"{entry}-{name}")
+                     for entry, (_, kwargs) in BOUNDED_ENTRY_POINTS.items() for name in kwargs]
+
+
+@pytest.mark.parametrize("entry, name", BOUNDED_ARGUMENTS)
+@pytest.mark.parametrize("bad, error, message", [
+    (2.0, TypeError, "must be a plain integer"),
+    (0, ValueError, "must be at least 1"),
+], ids=["float", "zero"])
+def test_every_count_and_bound_is_refused_by_name(entry, name, bad, error, message):
+    fn, kwargs = BOUNDED_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=f"^{name} {message}"):
+        fn(**dict(kwargs, **{name: bad}))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: enumeration.triangles_with_perimeter(12.0), "p"),
+    (lambda: enumeration.triangles_with_perimeter(13.0), "p"),
+    (lambda: enumeration.triangles_with_perimeter(True), "p"),
+    (lambda: enumeration.triangles_with_area(6.0), "area"),
+    (lambda: enumeration.triangles_with_area(7.0), "area"),
+    (lambda: enumeration.triangles_with_area(True), "area"),
+    (lambda: necklace.replacement_family(4.0), "n"),
+    (lambda: necklace.replacement_family(True), "n"),
+], ids=["perimeter-12.0", "perimeter-13.0", "perimeter-True", "area-6.0", "area-7.0",
+        "area-True", "replacement_family-4.0", "replacement_family-True"])
+def test_enumerators_refuse_a_non_int_by_name(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be a plain integer"):
+        call()
