@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import repeat
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
-from heronian.core import Classification, Triangle, _area, _check_bound, _classify
+from heronian.core import Classification, Triangle, _area, _check_bound, _check_int, _classify
 from heronian.enumeration import (
     _kernel_join,
     area_perimeter_bound,
@@ -70,6 +70,7 @@ class CatalogRecord(NamedTuple):
 
 
 RECORD_FIELDS = CatalogRecord._fields
+_RECORD_TYPES = get_type_hints(CatalogRecord)  # five ints and a str, in field order
 _RECORD_LINE = (
     '{"a":%d,"b":%d,"c":%d,"perimeter":%d,"area":%d,"classification":"%s"}\n')
 # _RECORD_LINE as a bytes pattern: each %d becomes [1-9][0-9]* of at most
@@ -117,7 +118,9 @@ class Catalog:
         """Triangles with perimeter p, plus a completeness flag.
 
         The answer is complete exactly when p is inside the built range.
+        A p that is not a plain int raises TypeError.
         """
+        _check_int("p", p)
         matches = self._by_perimeter.get(p, ())
         return [r.triangle() for r in sorted(matches)], p <= self.p_max
 
@@ -127,8 +130,10 @@ class Catalog:
         Every Heronian triangle of a given area has perimeter at most
         2*area^2, so the answer is guaranteed complete only when that
         bound fits inside the built range; otherwise it is best-effort
-        and the flag is False rather than silently truncating.
+        and the flag is False rather than silently truncating. An area
+        that is not a plain int raises TypeError.
         """
+        _check_int("area", area)
         matches = self._by_area.get(area, ())
         return [r.triangle() for r in sorted(matches)], area_perimeter_bound(area) <= self.p_max
 
@@ -179,14 +184,18 @@ def save(cat: Catalog, path) -> None:
         fh.writelines(_RECORD_LINE % r for r in cat.records)
 
 
-def _decode(raw: bytes, lineno: int) -> str:
+def _read_line(raw: bytes, lineno: int, types: dict) -> dict:
+    """A line not in save's spelling, as a dict whose keys are those of
+    types, in order, each value of exactly its type: the header (line 1,
+    typed by _HEADER_TYPES) or a record (typed by CatalogRecord's
+    annotations)."""
     try:
-        return raw.decode("utf-8")
+        line = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CatalogFormatError(f"line {lineno}: not valid UTF-8") from exc
-
-
-def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
+    if not line.strip():
+        blank = "missing header" if lineno == 1 else "blank record line"
+        raise CatalogFormatError(f"line {lineno}: {blank}")
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:
@@ -194,27 +203,17 @@ def _parse_line(line: str, lineno: int, expected_keys: tuple[str, ...]) -> dict:
         # limit; RecursionError covers nesting deeper than the decoder allows
         detail = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
         raise CatalogFormatError(f"line {lineno}: invalid JSON ({detail})") from exc
-    if not isinstance(obj, dict) or tuple(obj.keys()) != expected_keys:
+    if not isinstance(obj, dict) or list(obj) != list(types):
         raise CatalogFormatError(
-            f"line {lineno}: expected keys {list(expected_keys)}, got "
+            f"line {lineno}: expected keys {list(types)}, got "
             f"{list(obj) if isinstance(obj, dict) else type(obj).__name__}"
         )
+    for name, kind in types.items():
+        if type(obj[name]) is not kind:
+            raise CatalogFormatError(
+                f"line {lineno}: {name} must be {kind.__name__}, got {obj[name]!r}"
+            )
     return obj
-
-
-def _parse_record(raw: bytes, lineno: int) -> tuple:
-    """The six values of a record line in any spelling JSON allows."""
-    line = _decode(raw, lineno)
-    if not line.strip():
-        raise CatalogFormatError(f"line {lineno}: blank record line")
-    row = _parse_line(line, lineno, RECORD_FIELDS)
-    values = tuple(row.values())
-    if {type(v) for v in values[:5]} != {int} or type(values[5]) is not str:
-        raise CatalogFormatError(
-            f"line {lineno}: bad record (numbers must be plain integers "
-            f"and classification a string, got {row!r})"
-        )
-    return values
 
 
 def load(path) -> Catalog:
@@ -232,25 +231,18 @@ def load(path) -> Catalog:
     bytes regex (_CANONICAL_RECORD), with no decode, json.loads or dict.
     The match is exact: such a line is valid JSON with the record keys in
     order, and its numbers are [1-9][0-9]* of at most 100 digits, so
-    int() gives the values json.loads would. Any other line (spaces,
-    escapes, CRLF, signs, leading zeros, longer numbers, bad UTF-8) is
-    decoded and parsed by json.loads; both kinds then pass the same
-    checks, with the same line-numbered errors. A load of the
-    11,861-record p_max 2000 catalog takes a median 63–65 ms this way,
-    against 121–123 ms when every line takes json.loads (see README).
+    int() gives the values json.loads would. The header and any other
+    record line (spaces, escapes, CRLF, signs, leading zeros, longer
+    numbers, bad UTF-8) take the one typed reader, _read_line; both kinds
+    of record line then pass the same checks, with the same line-numbered
+    errors. A load of the 11,861-record p_max 2000 catalog takes a median
+    63–65 ms this way, against 121–123 ms when every line takes
+    json.loads (see README).
     """
     canonical = _CANONICAL_RECORD.fullmatch
     new = tuple.__new__
     with open(path, "rb") as fh:
-        header_line = _decode(fh.readline(), 1)
-        if not header_line.strip():
-            raise CatalogFormatError("line 1: missing header")
-        header = _parse_line(header_line, 1, tuple(_HEADER_TYPES))
-        for name, kind in _HEADER_TYPES.items():
-            if type(header[name]) is not kind:
-                raise CatalogFormatError(
-                    f"line 1: {name} must be {kind.__name__}, got {header[name]!r}"
-                )
+        header = _read_line(fh.readline(), 1, _HEADER_TYPES)
         if header["format_version"] != FORMAT_VERSION:
             raise CatalogVersionError(
                 f"unsupported format version {header['format_version']!r}, "
@@ -266,7 +258,8 @@ def load(path) -> Catalog:
                 a, b, c, perimeter, area = int(a), int(b), int(c), int(perimeter), int(area)
                 classification = _CLASSIFICATIONS[classification]
             else:
-                a, b, c, perimeter, area, classification = _parse_record(raw, lineno)
+                row = _read_line(raw, lineno, _RECORD_TYPES)
+                a, b, c, perimeter, area, classification = row.values()
             sides = (a, b, c)
             if not a <= b <= c:
                 raise CatalogFormatError(f"line {lineno}: sides {sides} are not sorted")

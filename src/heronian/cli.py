@@ -208,8 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        finally:
+            # --help writes to stdout and exits inside parse_args; the flush
+            # turns a closed pipe into the file-error exit below, and a good
+            # flush lets argparse's SystemExit through unchanged
+            sys.stdout.flush()
         return args.run(args)
     except (OSError, catalog_mod.CatalogFormatError) as exc:
         # a file that cannot be read or written, a malformed catalog or a

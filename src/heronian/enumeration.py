@@ -114,8 +114,13 @@ def triangles_in_perimeter_range(
     The Triangles of _kernel_join's rows, O(P^2) for the whole range:
     complete because every triangle's probe matches its pair's parity
     hash, exact because each match is kept only if s*x*y*z is a perfect
-    square (see _kernel_join).
+    square (see _kernel_join). A bound that is not a plain int raises
+    TypeError.
     """
+    _check_int("lo", lo)
+    _check_int("hi", hi)
+    if area_max is not None:
+        _check_int("area_max", area_max)
     return [Triangle(x + y, x + z, y + z) for _, x, y, z, _ in _kernel_join(lo, hi, area_max)]
 
 
@@ -422,6 +427,8 @@ def equable_triangles() -> list[Triangle]:
 
 def deficient_triangles(p_max: int) -> list[Triangle]:
     """Heronian triangles with perimeter <= p_max and perimeter > area:
-    the strict cases x*y*z < 4*(x+y+z) of _not_abundant's region."""
+    the strict cases x*y*z < 4*(x+y+z) of _not_abundant's region. A
+    p_max that is not a plain int raises TypeError."""
+    _check_int("p_max", p_max)
     return sorted(Triangle(x + y, x + z, y + z) for x, y, z in _not_abundant(p_max)
                   if x * y * z < 4 * (x + y + z))

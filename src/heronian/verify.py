@@ -21,8 +21,7 @@ from heronian.core import (
     _check_bound,
     decompose,
     heron_area,
-    isqrt,
-    perfect_square_root,  # unused here; the benchmark tracer counts calls through this name
+    perfect_square_root,
 )
 from heronian.cycles import find_cycles
 from heronian.enumeration import (
@@ -247,23 +246,16 @@ def solve_power_difference(exp_max: int) -> tuple[set, set]:
 
 
 def _difference_of_squares(product: int, offset: int) -> list[tuple[int, int]]:
-    """Positive (z, area) with (2z + offset)^2 - area^2 == product.
+    """Positive (z, area) with (2z + offset)^2 - area^2 == product, for
+    product >= 1 and offset >= 0, in ascending z.
 
-    Scans factor pairs d * e = product with d <= e, setting
-    2z + offset = (d + e) / 2 and area = (e - d) / 2.
+    The scan over z <= (product + 1) // 4 is complete: u = 2z + offset
+    and the area are (d + e)/2 and (e - d)/2 for the factor pair
+    d = u - area, e = u + area of d * e = product, with 1 <= d < e. As
+    (d - 1)(e - 1) >= 0, 2z <= u <= (1 + product)/2.
     """
-    solutions = []
-    for d in range(1, isqrt(product) + 1):
-        if product % d == 0:
-            e = product // d
-            if (d + e) % 2 == 0:
-                u = (d + e) // 2
-                area = (e - d) // 2
-                if (u - offset) % 2 == 0:
-                    z = (u - offset) // 2
-                    if z >= 1 and area >= 1:
-                        solutions.append((z, area))
-    return solutions
+    return [(z, area) for z in range(1, (product + 1) // 4 + 1)
+            if (area := perfect_square_root((2 * z + offset) ** 2 - product))]
 
 
 def check_factorization_cases() -> TheoremReport:

@@ -243,3 +243,21 @@ def power_difference_oracle(exp_max: int) -> tuple[set, set]:
         if pow2 + 1 in log3:
             three_minus_two.add((log3[pow2 + 1], p))
     return two_minus_three, three_minus_two
+
+
+def difference_of_squares_oracle(product: int, offset: int) -> list[tuple[int, int]]:
+    """Positive (z, area) with (2z + offset)^2 - area^2 == product, from the
+    factor pairs d * e = product with d <= e: 2z + offset = (d + e) / 2 and
+    area = (e - d) / 2 whenever both halves are integers."""
+    solutions = []
+    for d in range(1, math.isqrt(product) + 1):
+        if product % d == 0:
+            e = product // d
+            if (d + e) % 2 == 0:
+                u = (d + e) // 2
+                area = (e - d) // 2
+                if (u - offset) % 2 == 0:
+                    z = (u - offset) // 2
+                    if z >= 1 and area >= 1:
+                        solutions.append((z, area))
+    return solutions

@@ -123,7 +123,7 @@ def test_load_inconsistent_record_rejected(tmp_path):
             "classification": "deficient"}
     corruptions = [
         ({"perimeter": 13}, "perimeter"),
-        ({"a": 3.0}, "plain integers"),
+        ({"a": 3.0}, "a must be int, got 3.0"),
         ({"a": 1, "b": 2, "c": 3, "perimeter": 6}, "degenerate"),
         ({"area": 36}, "area 36"),
         ({"classification": "abundant"}, "classification"),
@@ -179,10 +179,12 @@ def _canonical(a, b, c, perimeter, area, classification=b"deficient"):
                  id="area-zero"),
     pytest.param(_jsonl(HEADER, dict(R345, area=7)), "line 2: area 7 does not match",
                  id="area-wrong"),
-    pytest.param(_jsonl(HEADER, dict(R345, a=True)), "line 2: bad record", id="bool-side"),
+    pytest.param(_jsonl(HEADER, dict(R345, a=True)), "line 2: a must be int, got True",
+                 id="bool-side"),
     pytest.param(_jsonl(HEADER, dict(R345, a=0, perimeter=9)),
                  r"line 2: sides \(0, 4, 5\) are degenerate or not positive", id="zero-side"),
-    pytest.param(_jsonl(HEADER, dict(R345, classification=6)), "line 2: bad record",
+    pytest.param(_jsonl(HEADER, dict(R345, classification=6)),
+                 "line 2: classification must be str, got 6",
                  id="classification-not-str"),
     # canonical in shape, but not what save writes: these take the JSON path
     pytest.param(_jsonl(HEADER) + _canonical(b"9" * 5000, b"4", b"5", b"12", b"6"),

@@ -356,15 +356,20 @@ def test_bad_preconditions_are_usage_errors(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("n, lines_read", [(26, 1), (5, 0)],
-                         ids=["closed-mid-listing", "closed-before-the-flush-at-exit"])
-def test_closed_stdout_pipe_is_a_file_error(n, lines_read):
+@pytest.mark.parametrize("argv, lines_read", [
+    (["cycles", "--n", "26"], 1),
+    (["cycles", "--n", "5"], 0),
+    (["--help"], 0),
+    (["verify", "--help"], 0),
+], ids=["closed-mid-listing", "closed-before-the-flush-at-exit", "help", "verify-help"])
+def test_closed_stdout_pipe_is_a_file_error(argv, lines_read):
     # the reader closes the pipe while 10,461 words of length 26 are written,
-    # or before the 2 of length 5 leave the buffer. stdout is block-buffered,
-    # as for any pipe, so bytes can wait for the flush at exit.
+    # or before the 2 of length 5 or a help text leave the buffer (argparse
+    # prints help and exits inside parse_args). stdout is block-buffered, as
+    # for any pipe, so bytes can wait for the flush at exit.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     for _ in range(5):
-        proc = subprocess.Popen([sys.executable, "-m", "heronian", "cycles", "--n", str(n)],
+        proc = subprocess.Popen([sys.executable, "-m", "heronian", *argv],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         for _ in range(lines_read):
             proc.stdout.readline()

@@ -287,8 +287,18 @@ def test_every_count_and_bound_is_refused_by_name(entry, name, bad, error, messa
     (lambda: enumeration.triangles_with_area(True), "area"),
     (lambda: necklace.replacement_family(4.0), "n"),
     (lambda: necklace.replacement_family(True), "n"),
+    (lambda: enumeration.triangles_in_perimeter_range(0.0, 100), "lo"),
+    (lambda: enumeration.triangles_in_perimeter_range(0, 100.0), "hi"),
+    (lambda: enumeration.triangles_in_perimeter_range(0, 100, 50.0), "area_max"),
+    (lambda: enumeration.deficient_triangles(100.0), "p_max"),
+    (lambda: catalog.build(100).query_by_perimeter(12.0), "p"),
+    (lambda: catalog.build(100).query_by_perimeter(True), "p"),
+    (lambda: catalog.build(100).query_by_area(6.0), "area"),
+    (lambda: catalog.build(100).query_by_area(True), "area"),
 ], ids=["perimeter-12.0", "perimeter-13.0", "perimeter-True", "area-6.0", "area-7.0",
-        "area-True", "replacement_family-4.0", "replacement_family-True"])
+        "area-True", "replacement_family-4.0", "replacement_family-True", "range-lo-0.0",
+        "range-hi-100.0", "range-area_max-50.0", "deficient-100.0", "query_by_perimeter-12.0",
+        "query_by_perimeter-True", "query_by_area-6.0", "query_by_area-True"])
 def test_enumerators_refuse_a_non_int_by_name(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be a plain integer"):
         call()

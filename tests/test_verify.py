@@ -4,12 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import power_difference_oracle
+from oracles import difference_of_squares_oracle, power_difference_oracle
 
 from heronian.core import Classification, Triangle, classify, decompose, heron_area
 from heronian.verify import (
     VERDICT_COUNTEREXAMPLE,
     VERDICT_VERIFIED,
+    _difference_of_squares,
     check_equable_census,
     check_factorization_cases,
     check_gersonides,
@@ -177,6 +178,15 @@ def test_factorization_cases():
     assert by_case["product-16"] == []
     assert by_case["product-25"] == [[4, 12]]
     assert by_case["adjacent-squares"] == []
+
+
+def test_difference_of_squares_scan_equals_the_factor_pairs():
+    for product in range(1, 500):
+        for offset in range(12):
+            got = _difference_of_squares(product, offset)
+            expected = difference_of_squares_oracle(product, offset)
+            assert set(got) == set(expected), (product, offset)
+            assert got == sorted(got)
 
 
 def test_theorem3_verified():
