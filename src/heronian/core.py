@@ -8,7 +8,11 @@ perfect_square_root everywhere but in the two divisor loops of
 enumeration, _perimeter_triangles and triangles_with_area: they test
 millions of candidates, so each spells the same two steps inline rather
 than pay a Python call per candidate. heron_area keeps the areas of the
-last 4096 triangles it was asked about.
+last 4096 triangles it was asked about. The package's other bounded
+memos are enumeration's _area_memo and _perimeter_memo, each the last
+2048 answers of triangles_with_area or triangles_with_perimeter with the
+sides packed flat, at most 2048 x (200 + 12n) bytes for a largest kept
+answer of n triangles (see enumeration).
 """
 
 from __future__ import annotations

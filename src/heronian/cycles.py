@@ -170,7 +170,11 @@ def trace_chain(
 
     Branches meet the same links again and again, so a dict local to the
     call keeps each link's neighbour list: every distinct link is listed
-    once per call, and nothing outlives the call.
+    once per call, and the dict goes with the call. Across calls the two
+    listings answer a repeated link from their own bounded memos
+    (enumeration._area_memo and _perimeter_memo: 2048 packed answers
+    each, at most 2048 x (200 + 12n) bytes for a largest answer of n
+    triangles).
     """
     if type(max_steps) is not int or max_steps < 1:  # one test on the common path
         _check_bound("max_steps", max_steps)

@@ -24,11 +24,23 @@ Every enumerator returns a sorted list (the range enumerator by
 perimeter first, the others lexicographically), so output is
 deterministic. The two perimeter enumerators emit their rows in that
 order by construction, so neither sorts.
+
+The area and perimeter queries are the links the sociable-cycle walks
+follow, so a session asks the same ones again and again. Each keeps its
+last 2048 answers in an lru_cache keyed by the plain int, _area_memo and
+_perimeter_memo, with the sides packed flat (_packed); every call still
+returns a fresh list of Triangles. An entry costs about 200 bytes plus
+12 per triangle (4 bytes a side below 2^31), so a memo holds at most
+2048 x (200 + 12n) bytes for a largest kept answer of n triangles: about
+4.8 MB at n = 179, the most of any perimeter <= 3000, and 5.3 MB at
+n = 198 (area 5,405,400).
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
+from functools import lru_cache
 from math import gcd
 
 from heronian.core import Triangle, _check_int, isqrt, perfect_square_root
@@ -54,19 +66,57 @@ def area_perimeter_bound(area: int) -> int:
     return 2 * area * area
 
 
+# Entries each of the two query memos keeps, _perimeter_memo and
+# _area_memo; both are lru_caches keyed by the plain int.
+_MEMO_ENTRIES = 2048
+
+
+def _packed(triples) -> array | tuple:
+    """The sides of sorted side triples, laid out flat: an array('i') at
+    4 bytes a side, an array('q') at 8 once a side reaches 2^31, a tuple
+    once one reaches 2^63 (which neither can hold), and the one shared ()
+    when there are none."""
+    flat = [side for triple in triples for side in triple]
+    if not flat:
+        return ()
+    for typecode in "iq":
+        try:
+            return array(typecode, flat)
+        except OverflowError:
+            pass
+    return tuple(flat)
+
+
+def _unpacked(flat: array | tuple) -> list[Triangle]:
+    """A fresh list of the Triangles whose sides _packed laid out."""
+    sides = iter(flat)
+    return [Triangle(a, b, c) for a, b, c in zip(sides, sides, sides)]
+
+
 def triangles_with_perimeter(p: int) -> list[Triangle]:
     """All Heronian triangles with perimeter p, sorted by side triple.
 
     Odd perimeters have no Heronian triangles (the semiperimeter would
     not be an integer) and give an empty list; a p that is not a plain
-    int raises TypeError.
+    int raises TypeError. Both tests come before the memo is read, so
+    12.0 or True, which hash like 12 and 1, never reach an int's entry.
     """
-    return list(_perimeter_triangles(p))
+    if type(p) is not int or p < 3 or p % 2:
+        _check_int("p", p)
+        return []
+    return _unpacked(_perimeter_memo(p))
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _perimeter_memo(p: int) -> array | tuple:
+    """_perimeter_triangles(p), packed (see _packed)."""
+    return _packed(_perimeter_triangles(p))
 
 
 def _perimeter_triangles(p: int):
-    """Yield the Heronian triangles with perimeter p, sorted by side
-    triple, so a caller that needs only the first stops the scan there.
+    """Yield the side triples of the Heronian triangles with even
+    perimeter p, sorted, so a caller that needs only the first stops the
+    scan there.
 
     With u = x + y and z = s - u, s*x*y*z is a square exactly when
     x*y = K*t^2 with K = ker(s*z), i.e. (y - x)^2 = u^2 - 4*K*t^2. So for
@@ -75,9 +125,6 @@ def _perimeter_triangles(p: int):
     Sorted because a = u ascends, and b = z + (u - d)/2 rises with t as
     d = y - x shrinks.
     """
-    if type(p) is not int or p < 3 or p % 2:
-        _check_int("p", p)
-        return
     s = p // 2
     ker = _squarefree_kernels(s)
     for u in range(2, 2 * s // 3 + 1):  # 3u <= 2s, i.e. z >= ceil(u/2)
@@ -90,7 +137,7 @@ def _perimeter_triangles(p: int):
             d2 = u2 - k4 * t * t  # (y - x)^2 when it is a square
             d = isqrt(d2)  # perfect_square_root, inline (see core)
             if d * d == d2 and u + d <= 2 * z:  # y <= z
-                yield Triangle(u, z + (u - d) // 2, z + (u + d) // 2)
+                yield (u, z + (u - d) // 2, z + (u + d) // 2)
             t += 1
 
 
@@ -360,11 +407,20 @@ def triangles_with_area(area: int) -> list[Triangle]:
 
     Raises ValueError if the area has a prime factor at or above
     3,317,044,064,679,887,385,961,981, which _factorize cannot prove
-    prime.
+    prime; lru_cache keeps no exception, so every such call raises. The
+    type and range tests come before the memo is read, so 6.0 or True
+    never reach an int's entry.
     """
     if type(area) is not int or area < 1 or area % 6:
         _check_int("area", area)
         return []
+    return _unpacked(_area_memo(area))
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _area_memo(area: int) -> array | tuple:
+    """The divisor-triple search of triangles_with_area for a positive
+    multiple of 6, packed (see _packed)."""
     a2 = area * area
     # divisors of area^2, from the factorization of area with doubled exponents
     divisors = _divisors({p: 2 * e for p, e in _factorize(area).items()})
@@ -385,9 +441,9 @@ def triangles_with_area(area: int) -> list[Triangle]:
             # increasing in z with equality at z = y, so z >= y.
             if root * root == disc:
                 z = (root - x - y) // 2
-                found.append(Triangle(x + y, x + z, y + z))
+                found.append((x + y, x + z, y + z))
     found.sort()
-    return found
+    return _packed(found)
 
 
 def _not_abundant(p_max: int):

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -21,11 +23,16 @@ from heronian.core import (
     perfect_square_root,
 )
 from heronian.enumeration import (
+    _MEMO_ENTRIES,
     _MR_CERTIFIED_BELOW,
+    _area_memo,
     _factorize,
     _kernel_join,
     _not_abundant,
+    _packed,
     _parity_hashes,
+    _perimeter_memo,
+    _unpacked,
     area_perimeter_bound,
     deficient_triangles,
     equable_triangles,
@@ -423,3 +430,107 @@ def test_enumerators_return_consistent_triangles():
         assert classify(t) is Classification.DEFICIENT
     for t in equable_triangles():
         assert classify(t) is Classification.EQUABLE
+
+
+def test_memo_hits_equal_the_misses_and_the_oracles():
+    # A^2 = s*x*y*z >= s*z >= s^2/3 (z, the largest gap, is >= s/3), so an
+    # area A has perimeter <= 2*sqrt(3)*A < 210 for A <= 60
+    naive = naive_triangle_scan(210)
+    for area in (6, 12, 24, 30, 36, 42, 48, 54, 60, 840, 1734, 5040):
+        _area_memo.cache_clear()
+        miss = triangles_with_area(area)
+        hit = triangles_with_area(area)
+        assert _area_memo.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert hit == miss
+        assert sides(hit) == area_divisor_oracle(area), area
+        if area <= 60:
+            assert sides(hit) == [(a, b, c) for a, b, c, n in naive if n == area], area
+    for p in (12, 36, 54, 120, 168, 210, 1200, 2916):
+        _perimeter_memo.cache_clear()
+        miss = triangles_with_perimeter(p)
+        hit = triangles_with_perimeter(p)
+        assert _perimeter_memo.cache_info()[:2] == (1, 1)
+        assert hit == miss
+        assert sides(hit) == perimeter_scan_oracle(p), p
+        if p <= 210:
+            assert sides(hit) == [(a, b, c) for a, b, c, _ in naive if a + b + c == p], p
+
+
+def test_a_caller_that_changes_its_list_changes_no_later_answer():
+    for query, arg in ((triangles_with_area, 36), (triangles_with_perimeter, 36)):
+        first = query(arg)
+        expected = list(first)
+        first.append(Triangle(3, 4, 5))
+        first.reverse()
+        second = query(arg)
+        assert second == expected
+        assert second is not query(arg)  # a fresh list on every call
+        second.clear()
+        assert query(arg) == expected
+
+
+def test_kept_answers_do_not_serve_values_that_hash_like_their_key():
+    assert sides(triangles_with_area(6)) == [(3, 4, 5)]
+    assert sides(triangles_with_perimeter(12)) == [(3, 4, 5)]
+    before = (_area_memo.cache_info(), _perimeter_memo.cache_info())
+    for query, arg in ((triangles_with_area, 6.0), (triangles_with_area, True),
+                       (triangles_with_perimeter, 12.0), (triangles_with_perimeter, True)):
+        with pytest.raises(TypeError, match="plain integer"):
+            query(arg)
+    assert (_area_memo.cache_info(), _perimeter_memo.cache_info()) == before
+
+
+def test_an_uncertifiable_area_raises_on_every_call():
+    area = 6 * _MR_CERTIFIED_BELOW
+    for _ in range(2):
+        with pytest.raises(ValueError, match=str(_MR_CERTIFIED_BELOW)):
+            triangles_with_area(area)
+
+
+def test_packing_keeps_sides_of_2_to_the_63_and_shares_the_empty_answer():
+    assert _packed([(3, 4, 5)]).typecode == "i"
+    assert _packed([(3, 4, 5), (3 * 2**29, 4 * 2**29, 5 * 2**29)]).typecode == "q"
+    k = 2**62  # (3k, 4k, 5k) has area 6k^2 and sides from 3 * 2^62 > 2^63
+    big = (3 * k, 4 * k, 5 * k)
+    for triples in ([(3, 4, 5), big], [(3, 4, 5), (2**31, 2**31, 2**31)]):
+        assert sides(_unpacked(_packed(triples))) == triples
+    for _ in range(2):  # the miss, then the hit
+        found = triangles_with_area(6 * k * k)
+        assert Triangle(*big) in found
+        assert all(heron_area(t) == 6 * k * k for t in found)
+    assert type(_area_memo(6 * k * k)) is tuple
+    empty = [p for p in range(4, 100, 2) if not triangles_with_perimeter(p)]
+    assert len(empty) > 2
+    assert len({id(_perimeter_memo(p)) for p in empty}) == 1
+
+
+def test_memo_entries_are_bounded():
+    assert _area_memo.cache_info().maxsize == _MEMO_ENTRIES
+    assert _perimeter_memo.cache_info().maxsize == _MEMO_ENTRIES
+    _area_memo.cache_clear()
+    for k in range(1, _MEMO_ENTRIES + 101):
+        triangles_with_area(6 * k)
+    info = _area_memo.cache_info()
+    assert (info.misses, info.currsize) == (_MEMO_ENTRIES + 100, _MEMO_ENTRIES)
+    assert sides(triangles_with_area(6)) == [(3, 4, 5)]  # evicted, so found again
+    assert _area_memo.cache_info().misses == _MEMO_ENTRIES + 101
+
+
+def test_perimeter_memo_filled_to_3000_retains_under_1_mb(monkeypatch):
+    # the scans run untraced first: traced, their temporaries take about
+    # 20 s, and none of them outlives its call
+    rows = {p: list(enumeration._perimeter_triangles(p)) for p in range(4, 3001, 2)}
+    monkeypatch.setattr(enumeration, "_perimeter_triangles", rows.__getitem__)
+    _perimeter_memo.cache_clear()
+    tracemalloc.start()
+    try:
+        for p in range(4, 3001, 2):
+            triangles_with_perimeter(p)
+        retained, _ = tracemalloc.get_traced_memory()
+        _perimeter_memo.cache_clear()  # nothing kept through the stand-in outlives the test
+        released, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    flat_sides = 3 * array("i").itemsize * sum(map(len, rows.values()))
+    assert flat_sides < retained < 1e6  # about 0.56 MB on Python 3.11
+    assert released < 0.01 * retained
